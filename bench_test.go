@@ -417,42 +417,3 @@ func BenchmarkSec62_StaticXOR(b *testing.B) {
 		b.ReportMetric(sum/float64(len(rows)), "staticxor_mean_slowdown_pct")
 	}
 }
-
-// benchmarkShardScaling measures the parallel-in-run speedup of the
-// channel-sharded event loops: one fixed 4-channel configuration, varied
-// only in the shard count, so Serial vs Shards4 is the apples-to-apples
-// pair `make bench-shards` compares. On a multi-core host the sharded run
-// approaches a channels-wide speedup; on a single-core host it tracks the
-// serial time (the shards time-slice one CPU). The result is checked
-// against the serial oracle in internal/sim's tests, not here.
-func benchmarkShardScaling(b *testing.B, shards int) {
-	b.Helper()
-	g := geom.DDR4_32GB4Ch()
-	for i := 0; i < b.N; i++ {
-		profiles, err := sim.ResolveWorkload("mix1", 8, g, 42)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := sim.Run(sim.Config{
-			Geometry:       g,
-			TRH:            128,
-			MappingName:    "rubixs-gs4",
-			MitigationName: "blockhammer",
-			Workloads:      profiles,
-			InstrPerCore:   8_000_000,
-			Seed:           42,
-			Shards:         shards,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Shards != shards {
-			b.Fatalf("run used %d shards, want %d", res.Shards, shards)
-		}
-		b.ReportMetric(res.MeanIPC, "mean_ipc")
-	}
-}
-
-func BenchmarkShardScaling_Serial(b *testing.B)  { benchmarkShardScaling(b, 1) }
-func BenchmarkShardScaling_Shards2(b *testing.B) { benchmarkShardScaling(b, 2) }
-func BenchmarkShardScaling_Shards4(b *testing.B) { benchmarkShardScaling(b, 4) }

@@ -42,7 +42,6 @@ func main() {
 		cores    = flag.Int("cores", 4, "number of cores")
 		seed     = flag.Uint64("seed", 42, "random seed")
 		channels = flag.Int("channels", 1, "memory channels (1, 2, or 4)")
-		shards   = flag.Int("shards", 0, "channel-sharded event loops: 0 = auto (channels when shardable), 1 = serial, else a power of two ≤ channels")
 		census   = flag.Bool("linecensus", false, "track activating lines per hot row")
 		hist     = flag.Bool("hist", false, "print the memory-latency distribution")
 
@@ -65,16 +64,6 @@ func main() {
 		g = geom.DDR4_32GB4Ch()
 	default:
 		fmt.Fprintf(os.Stderr, "rubixsim: unsupported channel count %d\n", *channels)
-		os.Exit(2)
-	}
-	// Validate the shard request here, not mid-run: a bad value must fail
-	// before any simulation work starts.
-	if *shards < 0 || *shards&(*shards-1) != 0 {
-		fmt.Fprintf(os.Stderr, "rubixsim: -shards %d: want 0 (auto) or a power of two\n", *shards)
-		os.Exit(2)
-	}
-	if *shards > *channels {
-		fmt.Fprintf(os.Stderr, "rubixsim: -shards %d exceeds -channels %d\n", *shards, *channels)
 		os.Exit(2)
 	}
 
@@ -169,7 +158,6 @@ func main() {
 		Seed:           *seed,
 		LineCensus:     *census,
 		LatencyHist:    *hist,
-		Shards:         *shards,
 		Metrics:        rec,
 		Check:          chk,
 	})
@@ -180,7 +168,6 @@ func main() {
 
 	fmt.Printf("config:        %s\n", res.Config)
 	fmt.Printf("workload:      %s on %d cores (%s)\n", *wl, *cores, g)
-	fmt.Printf("shards:        %d\n", res.Shards)
 	fmt.Printf("sim time:      %.2f ms (%d windows)\n", res.ElapsedNs/1e6, len(res.DRAM.Windows))
 	for i, ipc := range res.IPC {
 		fmt.Printf("core %d:        %-12s IPC %.3f\n", i, res.WorkloadNames[i], ipc)

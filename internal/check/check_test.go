@@ -359,9 +359,9 @@ func (inertMit) ResetWindow()                       {}
 func (inertMit) Mitigations() uint64                { return 0 }
 
 // TestCheckerConcurrentHooks hammers every hook and reporting method from
-// many goroutines at once, the way the parallel simulator's shards do. Run
-// under -race this fails on any unguarded Checker field; without -race it
-// still fails if lost counter updates break conservation at OnRunEnd.
+// many goroutines at once. Run under -race this fails on any unguarded
+// Checker field; without -race it still fails if lost counter updates break
+// conservation at OnRunEnd.
 func TestCheckerConcurrentHooks(t *testing.T) {
 	const workers = 8
 	const perWorker = 200

@@ -15,7 +15,6 @@ package dram
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 
 	"rubix/internal/check"
 	"rubix/internal/geom"
@@ -91,7 +90,7 @@ type bankState struct {
 type AccessResult struct {
 	Completion float64 // ns at which data is available
 	ActStart   float64 // ns of the activation, if one occurred
-	GlobalRow  uint64 // addr: row
+	GlobalRow  uint64  // addr: row
 	RowHit     bool
 	Activated  bool
 }
@@ -194,14 +193,14 @@ type Module struct {
 
 	// Float accounting is accumulated per channel and folded into Stats in
 	// ascending channel order (drainChannels). Floating-point addition is
-	// not associative, so a single global accumulator would make the
-	// sharded simulator's merged totals differ from the serial path in the
-	// last bits; per-channel accumulation gives both paths the identical
-	// addition sequence (DESIGN.md §14).
-	waitBank  []float64 // unit: ns; per channel
-	waitLease []float64 // unit: ns; per channel
-	prep      []float64 // unit: ns; per channel
-	waitBus   []float64 // unit: ns; per channel
+	// not associative, so this fold order is part of the committed results:
+	// a single global accumulator changes multi-channel totals in the last
+	// bits. TestMultiChannelGolden (internal/sim) and the perfbench golden
+	// digests pin it.
+	waitBank  []float64         // unit: ns; per channel
+	waitLease []float64         // unit: ns; per channel
+	prep      []float64         // unit: ns; per channel
+	waitBus   []float64         // unit: ns; per channel
 	latHist   []stats.Histogram // per channel; only when Config.LatencyHist
 
 	// Accounting.
@@ -540,107 +539,21 @@ func (m *Module) drainChannels() {
 }
 
 // Finalize closes the last (partial) window and returns the run's stats.
-// The module must not be used after Finalize.
+// The module must not be used after Finalize. The returned Stats is a
+// copy, not a pointer into the Module: a Result that keeps its stats must
+// not keep the bank array and census table reachable with them
+// (TestFinalizeReleasesModule).
 func (m *Module) Finalize() *Stats {
 	m.finalizeWindow()
 	m.drainChannels()
-	return &m.stats
+	st := m.stats
+	return &st
 }
 
 // Stats returns the running statistics without finalizing the last window.
 func (m *Module) Stats() *Stats {
 	m.drainChannels()
 	return &m.stats
-}
-
-// FinalizeSharded finalizes a set of per-shard modules that together model
-// one memory system — shard i owns every channel ch with ch % len(mods) == i
-// — and merges their accounting into a single Stats byte-identical to what
-// one serial module covering all channels would report. Determinism rests on
-// fixed orders everywhere: integer fields are summed in shard order, windows
-// are merged by ascending start time, and the float latency decomposition is
-// folded in ascending *channel* order straight from the per-channel
-// accumulators, exactly the sequence the serial drainChannels performs. The
-// modules must not be used (including Stats/Finalize) after this call.
-//
-// cold: runs once at the end of a sharded run.
-func FinalizeSharded(mods []*Module) *Stats {
-	if len(mods) == 1 {
-		return mods[0].Finalize()
-	}
-	merged := &Stats{}
-	for _, m := range mods {
-		m.finalizeWindow()
-		merged.Accesses += m.stats.Accesses
-		merged.RowHits += m.stats.RowHits
-		merged.WriteCAS += m.stats.WriteCAS
-		merged.DemandActs += m.stats.DemandActs
-		merged.ExtraActs += m.stats.ExtraActs
-		merged.ExtraCAS += m.stats.ExtraCAS
-		if m.stats.currentStart > merged.currentStart {
-			merged.currentStart = m.stats.currentStart
-		}
-	}
-	merged.Windows = mergeWindows(mods)
-	// Every shard module spans the full geometry, so its accumulator arrays
-	// are indexed by global channel; a shard's entries for channels it does
-	// not own are exactly zero. Folding ascending by channel from each
-	// channel's owner is therefore the identical addition sequence the
-	// serial module's drainChannels performs over one flat channel array.
-	channels := len(mods[0].waitBank)
-	for ch := 0; ch < channels; ch++ {
-		m := mods[ch%len(mods)]
-		merged.WaitBankNs += m.waitBank[ch]
-		merged.WaitLeaseNs += m.waitLease[ch]
-		merged.PrepNs += m.prep[ch]
-		merged.WaitBusNs += m.waitBus[ch]
-	}
-	if mods[0].stats.Latency != nil {
-		merged.Latency = &stats.Histogram{}
-		for ch := 0; ch < channels; ch++ {
-			merged.Latency.Merge(&mods[ch%len(mods)].latHist[ch])
-		}
-	}
-	return merged
-}
-
-// mergeWindows unions the per-shard window lists by start time, summing the
-// per-window counters. Every shard's list begins with the start-0 window
-// (finalizeWindow always appends the first window even when empty), and a
-// shard only records a later window when it saw activations in it, so the
-// merged set of starts equals the serial module's: {0} ∪ {w > 0 : some
-// channel activated a row in w}.
-func mergeWindows(mods []*Module) []WindowStats {
-	byStart := make(map[float64]*WindowStats)
-	var starts []float64
-	for _, m := range mods {
-		for i := range m.stats.Windows {
-			w := &m.stats.Windows[i]
-			acc, ok := byStart[w.Start]
-			if !ok {
-				acc = &WindowStats{Start: w.Start}
-				byStart[w.Start] = acc
-				starts = append(starts, w.Start)
-			}
-			acc.UniqueRows += w.UniqueRows
-			acc.Hot64 += w.Hot64
-			acc.Hot512 += w.Hot512
-			acc.OverTRH += w.OverTRH
-			if w.MaxActs > acc.MaxActs {
-				acc.MaxActs = w.MaxActs
-			}
-			for b := range acc.LineBuckets {
-				acc.LineBuckets[b] += w.LineBuckets[b]
-			}
-			acc.LineSum += w.LineSum
-		}
-	}
-	sort.Float64s(starts)
-	out := make([]WindowStats, len(starts))
-	for i, s := range starts {
-		out[i] = *byStart[s]
-	}
-	return out
 }
 
 // String implements fmt.Stringer.

@@ -331,56 +331,6 @@ func (r *Recorder) Snapshot() *Snapshot {
 	return s
 }
 
-// Fork returns a child Recorder for one shard of a sharded run: same event
-// ring bound, no phase hook (phases are a whole-run notion), fresh
-// counters. Components constructed against the child register their handles
-// there; Absorb folds the child back. Nil-safe: a nil Recorder forks to nil,
-// so a metrics-off run stays metrics-off on every shard.
-//
-// cold: once per shard at run setup.
-func (r *Recorder) Fork() *Recorder {
-	if r == nil {
-		return nil
-	}
-	return New(Config{TraceEvents: r.ringCap})
-}
-
-// Absorb folds a forked child into r: counters add, gauges last-write-win,
-// histograms merge, and the child's surviving events are re-offered to r's
-// ring oldest-first. Call once per child in fixed shard order; with more
-// events than the ring bound the kept set matches serial, though interleaved
-// event *order* across shards is not reconstructed (DESIGN.md §14 — byte
-// identity is promised for Result stats, not event traces). Nil-safe.
-//
-// cold: once per shard at run teardown.
-func (r *Recorder) Absorb(child *Recorder) {
-	if r == nil || child == nil {
-		return
-	}
-	for _, name := range sortedKeys(child.counters) {
-		r.Counter(name).Add(child.counters[name].v)
-	}
-	for _, name := range sortedKeys(child.gauges) {
-		r.Gauge(name).Set(child.gauges[name].v)
-	}
-	for _, name := range sortedKeys(child.hists) {
-		r.Hist(name).Merge(&child.hists[name].h)
-	}
-	if child.seen > 0 && r.ringCap > 0 {
-		n := child.ringCap
-		start := child.ringNext
-		if child.seen < uint64(child.ringCap) {
-			n = int(child.seen)
-			start = 0
-		}
-		for i := 0; i < n; i++ {
-			e := child.ring[(start+i)%child.ringCap]
-			r.Event(e.Kind, e.At, e.Row)
-		}
-		r.seen += child.seen - uint64(n) // account the child's own drops
-	}
-}
-
 // HistStats is the value-data summary of one histogram.
 type HistStats struct {
 	Count uint64  `json:"count"`

@@ -18,9 +18,9 @@ import (
 )
 
 // testSimOptions is the small-but-real configuration the service tests
-// simulate: one SPEC workload at tiny scale, serial shards.
+// simulate: one SPEC workload at tiny scale.
 func testSimOptions() sim.Options {
-	return sim.Options{Scale: 0.004, Workloads: []string{"xz"}, Mixes: []int{}, Seed: 5, Shards: 1}
+	return sim.Options{Scale: 0.004, Workloads: []string{"xz"}, Mixes: []int{}, Seed: 5}
 }
 
 func testRunSpec() sim.RunSpec {

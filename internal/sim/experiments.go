@@ -45,14 +45,6 @@ type Options struct {
 	// Paranoid attaches a fresh check.Checker to every simulation the Suite
 	// runs; a run with invariant violations fails with them.
 	Paranoid bool
-	// Shards is passed to every run's Config.Shards: 0 auto-shards
-	// shardable runs across the geometry's channels, 1 forces serial (see
-	// Config.Shards).
-	Shards int
-	// Workers bounds Prefetch's concurrent simulations. 0 derives the
-	// default NumCPU / shards (min 1), so in-run shard parallelism and
-	// across-run parallelism don't multiply into oversubscription.
-	Workers int
 	// OnRunDone, when non-nil, is called after each fresh (non-cached)
 	// simulation completes successfully, with the spec, its result, and the
 	// wall time it took in nanoseconds. Called from whichever goroutine ran
@@ -217,7 +209,6 @@ func (s *Suite) Run(spec RunSpec) (*Result, error) {
 				InstrPerCore:   s.opts.instrPerCore(),
 				Seed:           s.opts.Seed,
 				LineCensus:     spec.LineCensus,
-				Shards:         s.opts.Shards,
 				Check:          chk,
 			})
 		}
@@ -258,14 +249,14 @@ func (s *Suite) Run(spec RunSpec) (*Result, error) {
 	return e.res, e.err
 }
 
-// Prefetch executes the given configurations in parallel, filling the
-// cache so subsequent Run calls return instantly. Duplicate specs cost
-// nothing: the per-spec sync.Once guarantees each unique configuration is
-// simulated exactly once even when Prefetch races with Run. Every failure
-// is reported — the returned error joins one error per failed spec, in
-// spec order.
+// Prefetch executes the given configurations in parallel, one serial
+// simulation per worker on NumCPU workers, filling the cache so subsequent
+// Run calls return instantly. Duplicate specs cost nothing: the per-spec
+// sync.Once guarantees each unique configuration is simulated exactly once
+// even when Prefetch races with Run. Every failure is reported — the
+// returned error joins one error per failed spec, in spec order.
 func (s *Suite) Prefetch(specs []RunSpec) error {
-	workers := s.prefetchWorkers()
+	workers := runtime.NumCPU()
 	if workers > len(specs) {
 		workers = len(specs)
 	}
@@ -293,29 +284,6 @@ func (s *Suite) Prefetch(specs []RunSpec) error {
 	close(idx)
 	wg.Wait()
 	return errors.Join(errs...)
-}
-
-// prefetchWorkers resolves the Prefetch worker count: Options.Workers when
-// set, else NumCPU divided by the per-run shard count (each sharded run
-// already occupies that many goroutines), never below one. Before the
-// divisor existed, Prefetch hardcoded NumCPU, which multiplied with in-run
-// shards into NumCPU × shards runnable goroutines.
-func (s *Suite) prefetchWorkers() int {
-	if s.opts.Workers > 0 {
-		return s.opts.Workers
-	}
-	sh := s.opts.Shards
-	if sh == 0 {
-		sh = s.opts.Geometry.Channels
-	}
-	if sh < 1 {
-		sh = 1
-	}
-	w := runtime.NumCPU() / sh
-	if w < 1 {
-		w = 1
-	}
-	return w
 }
 
 // NormPerf returns the performance of (mapName, mitName, trh) on wl

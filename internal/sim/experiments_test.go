@@ -1,78 +1,9 @@
 package sim
 
 import (
-	"runtime"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
-
-	"rubix/internal/geom"
-	"rubix/internal/workload"
 )
-
-// TestPrefetchWorkerDerivation pins the oversubscription fix: the Prefetch
-// worker count divides NumCPU by the per-run shard count (auto shards come
-// from the geometry's channels), never drops below one, and an explicit
-// Options.Workers overrides the derivation.
-func TestPrefetchWorkerDerivation(t *testing.T) {
-	ncpu := runtime.NumCPU()
-	min1 := func(n int) int {
-		if n < 1 {
-			return 1
-		}
-		return n
-	}
-	cases := []struct {
-		name string
-		opts Options
-		want int
-	}{
-		{"explicit", Options{Workers: 3}, 3},
-		{"serial default", Options{}, ncpu}, // 1-channel default geometry
-		{"auto shards 4ch", Options{Geometry: geom.DDR4_32GB4Ch()}, min1(ncpu / 4)},
-		{"explicit shards", Options{Geometry: geom.DDR4_32GB4Ch(), Shards: 2}, min1(ncpu / 2)},
-		{"forced serial", Options{Geometry: geom.DDR4_32GB4Ch(), Shards: 1}, ncpu},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			if got := NewSuite(tc.opts).prefetchWorkers(); got != tc.want {
-				t.Fatalf("prefetchWorkers = %d, want %d", got, tc.want)
-			}
-		})
-	}
-}
-
-// TestPrefetchHonorsWorkers proves the configured bound is the bound that
-// actually limits Prefetch's fan-out, by counting concurrent resolver
-// entries through a swapped-in blocking resolver.
-func TestPrefetchHonorsWorkers(t *testing.T) {
-	s := NewSuite(Options{Scale: 0.004, Workloads: []string{"mcf"}, Mixes: []int{}, Seed: 5, Workers: 1})
-	var inFlight, maxInFlight atomic.Int64
-	var mu sync.Mutex
-	inner := s.resolve
-	s.resolve = func(spec string, cores int, g geom.Geometry, seed uint64) ([]workload.Profile, error) {
-		n := inFlight.Add(1)
-		defer inFlight.Add(-1)
-		mu.Lock()
-		if n > maxInFlight.Load() {
-			maxInFlight.Store(n)
-		}
-		mu.Unlock()
-		return inner(spec, cores, g, seed)
-	}
-	specs := []RunSpec{
-		{"mcf", "coffeelake", "none", 1000, false},
-		{"mcf", "sequential", "none", 1000, false},
-		{"mcf", "rubixs-gs1", "none", 1000, false},
-	}
-	if err := s.Prefetch(specs); err != nil {
-		t.Fatal(err)
-	}
-	if got := maxInFlight.Load(); got != 1 {
-		t.Fatalf("observed %d concurrent runs with Workers=1", got)
-	}
-}
 
 // tinySuite runs experiments at a very small scale over two workloads so the
 // runner plumbing is exercised quickly.

@@ -100,13 +100,9 @@ type Config struct {
 	// LatencyHist collects the per-access memory latency distribution
 	// (Result.DRAM.Latency).
 	LatencyHist bool
-	// Shards splits the run across channel-sharded event loops: 0
-	// auto-selects the geometry's channel count when the mitigation's state
-	// partitions by channel (none, blockhammer, trr) and serial otherwise;
-	// 1 forces the serial loop; an explicit power of two is clamped to the
-	// channel count. The sharded path produces byte-identical Result stats
-	// (DESIGN.md §14); runs that cannot shard fall back to serial silently,
-	// reported in Result.Shards.
+	// Shards is ignored: every run executes on one serial event loop.
+	//
+	// Deprecated: kept only so existing callers compile; it will be removed.
 	Shards int
 	// Metrics, when non-nil, records run-level counters, gauges, phase
 	// timings, and (if configured) an event trace across the whole stack.
@@ -137,9 +133,11 @@ type Result struct {
 	// Metrics is the final observability snapshot, nil unless Config.Metrics
 	// was set.
 	Metrics *metrics.Snapshot
-	// Shards reports how many shard event loops executed the run (1 =
-	// serial, including silent fallbacks).
-	Shards int
+	// Shards is never set by this package and is not part of the wire
+	// form.
+	//
+	// Deprecated: kept only so existing callers compile; it will be removed.
+	Shards int `json:"-"`
 }
 
 // HitRate is a convenience accessor for the run's row-buffer hit rate.
@@ -183,14 +181,6 @@ func Run(cfg Config) (*Result, error) {
 	if lat == 0 {
 		lat = defaultMapLatency(cfg.MappingName, cfg.Core.FreqGHz)
 	}
-	shards, err := effectiveShards(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if shards > 1 {
-		return runSharded(cfg, shards, mapper, lat)
-	}
-
 	mod := dram.New(dram.Config{
 		Geometry:    cfg.Geometry,
 		Timing:      cfg.Timing,
@@ -201,6 +191,7 @@ func Run(cfg Config) (*Result, error) {
 		Check:       chk,
 	})
 	var mit mitigation.Mitigator
+	var err error
 	if cfg.MitigationFactory != nil {
 		mit, err = cfg.MitigationFactory(mod)
 	} else {
@@ -245,7 +236,6 @@ func Run(cfg Config) (*Result, error) {
 		DRAM:        stats,
 		Mitigations: mit.Mitigations(),
 		RemapSwaps:  ctrl.RemapSwaps(),
-		Shards:      1,
 	}
 	for i, c := range cores {
 		res.IPC[i] = c.IPC()
