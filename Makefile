@@ -1,6 +1,6 @@
 # Convenience targets mirroring the CI jobs (.github/workflows/ci.yml).
 
-.PHONY: all build test race race-concurrency lint lint-audit ci profile bench bench-mapping benchdiff check-paranoid check-replay smoke-rubixd
+.PHONY: all build test race race-concurrency lint lint-audit ci fuzz profile bench bench-mapping benchdiff check-paranoid check-replay smoke-rubixd
 
 all: build test
 
@@ -35,6 +35,15 @@ lint-audit:
 	go run ./cmd/rubixlint -allow-audit ./...
 
 ci: build test race lint lint-audit
+
+# Fuzz smoke: every fuzz target for 15 s — the row table against a Go map,
+# the Result decoder on arbitrary bytes, and the K-Cipher round trip.
+# `go test -fuzz` takes one package and one target per run; plain `go test`
+# replays only the seed corpora.
+fuzz:
+	go test ./internal/rowtable -run '^$$' -fuzz '^FuzzRowTable$$' -fuzztime 15s
+	go test ./internal/sim -run '^$$' -fuzz '^FuzzDecodeResult$$' -fuzztime 15s
+	go test ./internal/kcipher -run '^$$' -fuzz '^FuzzKCipherRoundTrip$$' -fuzztime 15s
 
 # Refresh the committed benchmark baseline for the sim hot path
 # (mapping/cipher/DRAM/core micro-benchmarks plus the end-to-end run).

@@ -87,65 +87,19 @@ func New(id int, cfg Config, p workload.Profile, target uint64, seed uint64) *Co
 // Done reports whether the core has retired its instruction target.
 func (c *Core) Done() bool { return c.Retired >= c.Target }
 
-// AccessFunc issues a memory access at a given time and returns its
-// completion time; the memory controller provides it.
-type AccessFunc func(line uint64, arrival float64) float64
-
 // BatchAccessFunc issues a batch of memory accesses, all arriving at the
 // same time — one core's MLP burst — and returns the latest completion
 // (at least arrival). The memory controller's AccessBatch provides it.
 type BatchAccessFunc func(lines []uint64, arrival float64) float64
 
-// Serial adapts a per-line AccessFunc to the batch shape by issuing the
-// batch one access at a time, in order, at the common arrival time. It is
-// the scalar reference the batch path is differentially tested against.
-func Serial(f AccessFunc) BatchAccessFunc {
-	return func(lines []uint64, arrival float64) float64 {
-		maxCompletion := arrival
-		for _, line := range lines {
-			if comp := f(line, arrival); comp > maxCompletion {
-				maxCompletion = comp
-			}
-		}
-		return maxCompletion
-	}
-}
-
-// Step simulates one memory-level-parallel episode: the compute gap leading
-// up to the next LLC miss, then a batch of overlapped misses. Misses that
-// belong to one burst (Generator.InBurst) are issued at the same time, as a
-// real core's MSHRs would, up to the workload's MLP; the core then stalls
-// until the last of them completes.
-func (c *Core) Step(access AccessFunc) {
-	gap := c.rng.Geometric(c.meanGap)
-	c.Now += float64(gap) * c.cfg.BaseCPI / c.cfg.FreqGHz
-	c.Retired += uint64(gap)
-
-	issue := c.Now
-	maxCompletion := issue
-	for k := 0; ; k++ {
-		addr := c.profile.Gen.Next()
-		if comp := access(addr, issue); comp > maxCompletion {
-			maxCompletion = comp
-		}
-		if k+1 >= c.mlpCap || !c.profile.Gen.InBurst() {
-			break
-		}
-		// The compute between overlapped misses also overlaps with the
-		// outstanding memory time.
-		g := c.rng.Geometric(c.meanGap)
-		c.Retired += uint64(g)
-		c.Now += float64(g) * c.cfg.BaseCPI / c.cfg.FreqGHz
-	}
-	c.finishBurst(maxCompletion)
-}
-
-// StepBatch is Step with the burst issued through one batched controller
-// call: the burst's addresses are collected first — generator and gap-RNG
-// draws interleave in exactly Step's order, and all misses of a burst carry
-// the same issue time there too — then handed to access as one batch.
-// Step(f) and StepBatch(Serial(f)) are byte-identical by construction
-// (TestStepBatchMatchesStep pins it).
+// StepBatch simulates one memory-level-parallel episode: the compute gap
+// leading up to the next LLC miss, then a burst of overlapped misses.
+// Misses that belong to one burst (Generator.InBurst) are issued at the
+// same time, as a real core's MSHRs would, up to the workload's MLP: the
+// burst's addresses are collected first — generator and gap-RNG draws
+// interleave in the order of the retired scalar Step, the oracle
+// TestStepBatchMatchesStep pins it against — then handed to access as one
+// batch, and the core stalls until the last of them completes.
 //
 // hot: one call per simulated miss burst.
 func (c *Core) StepBatch(access BatchAccessFunc) {

@@ -1,158 +1,110 @@
 // Row census: per-row activation accounting inside one refresh window.
 //
-// The census is the hottest data structure in the simulator — every
-// activation touches it, and a full run rolls it once per 64 ms window.
-// The original implementation was a map[uint64]*rowCensus, which costs one
-// heap allocation per unique row per window (the dominant allocation source
-// of an end-to-end run) plus rehash/clear churn at every window roll.
-//
-// flatCensus replaces it with an open-addressed hash table of *inline*
-// census values. Window rolls do not touch the slots at all: each slot is
-// stamped with the epoch (window number) that wrote it, and a slot whose
-// stamp differs from the current epoch is simply free. Rolling a window is
-// therefore O(1) on the table, frees nothing, and a steady-state run
-// performs zero allocations on the ACT path (the table grows geometrically
-// toward the peak per-window row count and then stays put).
-//
-// The activating-line bitmaps (Table 3) live in a parallel array allocated
-// only when the line census is enabled, so the common performance-run
-// configuration pays 16 bytes per slot instead of 32. The table is
-// reconstructed fresh every run, so total growth-chain bytes — discarded
-// intermediates plus final overshoot — are what show up in an end-to-end
-// allocation profile; doubling keeps the final table within 2x of need.
-//
-// Iteration is a linear slot walk (see finalizeWindow). The walk visits
-// rows in table order, which is not insertion order but *is* a pure
-// function of the insertion history — deterministic with no map-ordering
-// caveats, so no //lint:allow determinism waiver is needed — and every
-// window aggregate is order-independent anyway. The walk is O(table), but
-// the load factor keeps the table within a small constant of the occupied
-// count.
+// Every activation touches the census, so it lives in a rowtable table: a
+// Table[uint32] of activation counts, or under Config.LineCensus a
+// Table[lineRow] whose slots add the Table 3 activating-line bitmap (32
+// bytes per row instead of 16, and still one probe per ACT). A window roll
+// is an O(1) epoch bump, and a steady-state run allocates nothing on the
+// ACT path. Every window aggregate is order-independent, so
+// finalizeWindow's table walk needs no ordering.
 package dram
 
-// censusSlot is one open-addressed table entry: a row key, the epoch that
-// claimed the slot, and the activation count. 16 bytes, so probe chains
-// stay within a cache line.
-type censusSlot struct {
-	row   uint64 // addr: row
-	epoch uint32
-	acts  uint32
-}
+import (
+	"math/bits"
 
-// flatCensus is the open-addressed, epoch-stamped row-census table.
-type flatCensus struct {
-	slots []censusSlot
-	lines [][2]uint64 // per-slot 128-bit touched-line bitmaps; nil unless trackLines
-	mask  uint64      // len(slots)-1; len is always a power of two
-	shift uint        // 64 - log2(len(slots)), for Fibonacci hashing
-	live  int         // slots claimed in the current epoch
-	epoch uint32      // current window stamp; slots with a different stamp are free
+	"rubix/internal/metrics"
+)
 
-	trackLines bool
-}
+// lineRow is a line-census row: its activation count, then the 128-bit
+// bitmap of the lines whose demand accesses activated it. uint32 words keep
+// the slot at 32 bytes.
+type lineRow [5]uint32
 
-// censusInitSlots is the initial table size: small enough that short runs
-// and per-test modules stay cheap, large enough that realistic workloads
-// reach steady state within a few geometric growths.
+// censusInitSlots is the initial census table size: small enough that short
+// runs and per-test modules stay cheap, large enough that realistic
+// workloads reach steady state within a few doublings.
 const censusInitSlots = 1 << 8
 
-func newFlatCensus(trackLines bool) flatCensus {
-	c := flatCensus{
-		slots:      make([]censusSlot, censusInitSlots),
-		epoch:      1, // zero-valued slots must never look occupied
-		trackLines: trackLines,
+// recordACT updates window accounting. slot < 0 means "line unknown"
+// (mitigation traffic), which skips the line census.
+func (m *Module) recordACT(row uint64, slot int, at float64, demand bool) {
+	if demand {
+		m.stats.DemandActs++
+		m.mActDemand.Inc()
+		m.rec.Event(metrics.EvActivation, at, row)
 	}
-	if trackLines {
-		c.lines = make([][2]uint64, censusInitSlots)
+	for at >= m.windowEnd {
+		m.rollWindow()
 	}
-	c.mask = uint64(len(c.slots) - 1)
-	c.shift = 64 - log2u64(uint64(len(c.slots)))
-	return c
+	if !m.lineCensus {
+		*m.acts.Get(row)++
+	} else {
+		lr := m.lines.Get(row)
+		lr[0]++
+		if slot >= 0 {
+			lr[1+slot>>5] |= 1 << (uint(slot) & 31)
+		}
+	}
+	// Placed after the window roll so that, at every window close, the
+	// cumulative offered counts equal the cumulative table sums exactly.
+	if m.chk != nil {
+		m.chk.OnCensusACT(demand)
+	}
 }
 
-func log2u64(v uint64) uint {
-	var n uint
-	for v > 1 {
-		v >>= 1
-		n++
-	}
-	return n
+// rollWindow finalizes the current refresh window and starts the next.
+func (m *Module) rollWindow() {
+	m.finalizeWindow()
+	m.stats.currentStart = m.windowEnd
+	m.windowEnd += m.Timing.RefreshWindow
 }
 
-// get returns the slot index for row, claiming a free slot on first touch
-// within the current window. The index is valid until the next get or
-// reset call (growth may move entries).
+// finalizeWindow closes the current refresh window into the stats record.
 //
-// hot: the per-activation census lookup; allocation-free by the PR 4
-// contract (benchdiff pins 0 allocs/op), growth is amortized into grow.
-func (c *flatCensus) get(row uint64) int {
-	if (c.live+1)*4 > len(c.slots)*3 {
-		c.grow()
-	}
-	// Fibonacci hashing spreads the structured global-row space (bank bits
-	// in the low positions) across the table; linear probing keeps chains
-	// within adjacent cache lines.
-	i := (row * 0x9E3779B97F4A7C15) >> c.shift
-	for {
-		s := &c.slots[i]
-		if s.epoch != c.epoch { // free (never used, or stale from an old window)
-			s.row = row
-			s.epoch = c.epoch
-			s.acts = 0
-			if c.trackLines {
-				c.lines[i] = [2]uint64{}
+// cold: runs once per refresh window (milliseconds of simulated time), not
+// per access; the per-window stats append is the intended record.
+func (m *Module) finalizeWindow() {
+	w := WindowStats{Start: m.stats.currentStart}
+	var tableActs uint64
+	tally := func(n uint32, lines int) {
+		tableActs += uint64(n)
+		w.MaxActs = max(w.MaxActs, n)
+		if n >= 64 {
+			w.Hot64++
+			if m.lineCensus {
+				w.LineSum += lines
+				switch {
+				case lines <= 32:
+					w.LineBuckets[0]++
+				case lines <= 64:
+					w.LineBuckets[1]++
+				default:
+					w.LineBuckets[2]++
+				}
 			}
-			c.live++
-			return int(i)
 		}
-		if s.row == row {
-			return int(i)
+		if n >= 512 {
+			w.Hot512++
 		}
-		i = (i + 1) & c.mask
+		if m.trh > 0 && n > uint32(m.trh) {
+			w.OverTRH++
+		}
+	}
+	if !m.lineCensus {
+		w.UniqueRows = m.acts.Len()
+		m.acts.Each(func(_ uint64, n *uint32) { tally(*n, 0) })
+		m.acts.Reset()
+	} else {
+		w.UniqueRows = m.lines.Len()
+		m.lines.Each(func(_ uint64, lr *lineRow) {
+			tally(lr[0], bits.OnesCount32(lr[1])+bits.OnesCount32(lr[2])+bits.OnesCount32(lr[3])+bits.OnesCount32(lr[4]))
+		})
+		m.lines.Reset()
+	}
+	if m.chk != nil {
+		m.chk.OnWindowClose(tableActs)
+	}
+	if w.UniqueRows > 0 || len(m.stats.Windows) == 0 {
+		m.stats.Windows = append(m.stats.Windows, w)
 	}
 }
-
-// grow doubles the table and reinserts the current window's live entries.
-//
-// cold: geometric growth amortizes to zero allocations per access once the
-// table reaches the window's working-set size.
-func (c *flatCensus) grow() {
-	old := c.slots
-	oldLines := c.lines
-	c.slots = make([]censusSlot, 2*len(old))
-	if c.trackLines {
-		c.lines = make([][2]uint64, len(c.slots))
-	}
-	c.mask = uint64(len(c.slots) - 1)
-	c.shift = 64 - log2u64(uint64(len(c.slots)))
-	for oi := range old {
-		s := &old[oi]
-		if s.epoch != c.epoch {
-			continue
-		}
-		i := (s.row * 0x9E3779B97F4A7C15) >> c.shift
-		for c.slots[i].epoch == c.epoch {
-			i = (i + 1) & c.mask
-		}
-		c.slots[i] = *s
-		if c.trackLines {
-			c.lines[i] = oldLines[oi]
-		}
-	}
-}
-
-// reset starts a new window. No slot is touched: bumping the epoch
-// invalidates every entry at once.
-func (c *flatCensus) reset() {
-	c.live = 0
-	c.epoch++
-	if c.epoch == 0 {
-		// The 32-bit stamp wrapped (after ~4 billion windows — 8+ simulated
-		// years). Scrub the table so stale stamps cannot alias epoch 1.
-		clear(c.slots)
-		c.epoch = 1
-	}
-}
-
-// len reports the number of rows recorded in the current window.
-func (c *flatCensus) len() int { return c.live }

@@ -10,7 +10,7 @@ import (
 
 // mapCensus is the retired map-based census implementation, kept verbatim
 // (modulo mechanical renames) as the differential-test oracle for the
-// open-addressed flatCensus that replaced it on the hot path. No build
+// rowtable-backed census that replaced it on the hot path. No build
 // tags: the reference lives only here, compiled into every test run.
 type mapCensus struct {
 	trh        int
@@ -112,7 +112,7 @@ type censusEvent struct {
 }
 
 // runDifferential feeds the same event stream through a real Module's
-// census (flat table) and the map oracle, and asserts byte-identical
+// census (row tables) and the map oracle, and asserts byte-identical
 // WindowStats sequences.
 func runDifferential(t *testing.T, g geom.Geometry, trh int, lineCensus bool, events []censusEvent) {
 	t.Helper()
@@ -213,54 +213,46 @@ func TestCensusDifferentialNoLineCensus(t *testing.T) {
 }
 
 // TestFlatCensusGrowthPreservesEntries pushes one window far past the
-// initial table size so the table rehashes several times mid-window.
+// initial table size so the census table rehashes several times mid-window.
 func TestFlatCensusGrowthPreservesEntries(t *testing.T) {
-	c := newFlatCensus(false)
+	m := New(Config{Geometry: geom.DDR4_16GB(), Timing: DDR4_2400()})
 	const n = 10 * censusInitSlots
 	for row := uint64(0); row < n; row++ {
 		for k := uint64(0); k <= row%3; k++ {
-			c.slots[c.get(row)].acts++
+			m.recordACT(row, -1, 0, false)
 		}
 	}
-	if c.len() != n {
-		t.Fatalf("occupied = %d, want %d", c.len(), n)
+	if m.acts.Len() != n {
+		t.Fatalf("occupied = %d, want %d", m.acts.Len(), n)
 	}
 	seen := make(map[uint64]bool, n)
-	for idx := range c.slots {
-		s := &c.slots[idx]
-		if s.epoch != c.epoch {
-			continue
+	m.acts.Each(func(row uint64, acts *uint32) {
+		if seen[row] {
+			t.Fatalf("row %d appears twice in the table", row)
 		}
-		if seen[s.row] {
-			t.Fatalf("row %d appears twice in the table", s.row)
+		seen[row] = true
+		if want := uint32(row%3) + 1; *acts != want {
+			t.Fatalf("row %d acts = %d, want %d", row, *acts, want)
 		}
-		seen[s.row] = true
-		if want := uint32(s.row%3) + 1; s.acts != want {
-			t.Fatalf("row %d acts = %d, want %d", s.row, s.acts, want)
-		}
-	}
+	})
 	if len(seen) != n {
 		t.Fatalf("table walk found %d rows, want %d", len(seen), n)
 	}
 }
 
-// TestFlatCensusWalkDeterministic: the linear slot walk that finalizes a
-// window must be a pure function of the insertion history — two tables
-// fed the same sequence yield the identical walk, which is what lets
-// finalizeWindow iterate without a map-ordering waiver.
+// TestFlatCensusWalkDeterministic: the walk that finalizes a window must be
+// a pure function of the activation history — two modules fed the same
+// sequence yield the identical walk, which is what lets finalizeWindow
+// iterate without a map-ordering waiver.
 func TestFlatCensusWalkDeterministic(t *testing.T) {
 	walk := func() []uint64 {
-		c := newFlatCensus(false)
+		m := New(Config{Geometry: geom.DDR4_16GB(), Timing: DDR4_2400()})
 		r := rng.NewXoshiro256(5)
 		for i := 0; i < 4*censusInitSlots; i++ {
-			c.slots[c.get(r.Uint64n(1 << 30))].acts++
+			m.recordACT(r.Uint64n(1<<30), -1, 0, false)
 		}
 		var rows []uint64
-		for idx := range c.slots {
-			if c.slots[idx].epoch == c.epoch {
-				rows = append(rows, c.slots[idx].row)
-			}
-		}
+		m.acts.Each(func(row uint64, _ *uint32) { rows = append(rows, row) })
 		return rows
 	}
 	a, b := walk(), walk()
@@ -271,49 +263,5 @@ func TestFlatCensusWalkDeterministic(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("walk diverges at %d: %d vs %d", i, a[i], b[i])
 		}
-	}
-}
-
-// TestFlatCensusEpochReset: a reset must orphan every entry without
-// touching slot memory, and the stale values must be invisible to the
-// next window.
-func TestFlatCensusEpochReset(t *testing.T) {
-	c := newFlatCensus(true)
-	i := c.get(42)
-	c.slots[i].acts = 900
-	c.lines[i] = [2]uint64{^uint64(0), 3}
-	c.slots[c.get(43)].acts = 7
-	c.reset()
-	if c.len() != 0 {
-		t.Fatalf("occupied after reset = %d", c.len())
-	}
-	i = c.get(42)
-	if c.slots[i].acts != 0 || c.lines[i] != ([2]uint64{}) {
-		t.Fatalf("stale census values leaked across the epoch reset: %+v lines %v", c.slots[i], c.lines[i])
-	}
-	if c.len() != 1 {
-		t.Fatalf("occupied = %d, want 1", c.len())
-	}
-}
-
-// TestFlatCensusEpochWrap forces the 32-bit epoch to wrap and verifies the
-// table is scrubbed rather than resurrecting ancient entries.
-func TestFlatCensusEpochWrap(t *testing.T) {
-	c := newFlatCensus(false)
-	c.slots[c.get(11)].acts = 500
-	c.epoch = ^uint32(0) - 1
-	c.slots[0].epoch = 1 // ancient stamp that would alias the post-wrap epoch
-	c.slots[0].row = 77
-	c.slots[0].acts = 123
-	c.reset() // -> MaxUint32
-	c.reset() // wraps -> scrub, epoch back to 1
-	if c.epoch != 1 {
-		t.Fatalf("epoch after wrap = %d, want 1", c.epoch)
-	}
-	if c.len() != 0 {
-		t.Fatalf("occupied after wrap = %d", c.len())
-	}
-	if acts := c.slots[c.get(77)].acts; acts != 0 {
-		t.Fatalf("pre-wrap entry resurrected with acts = %d", acts)
 	}
 }

@@ -14,11 +14,11 @@ package dram
 
 import (
 	"fmt"
-	"math/bits"
 
 	"rubix/internal/check"
 	"rubix/internal/geom"
 	"rubix/internal/metrics"
+	"rubix/internal/rowtable"
 	"rubix/internal/stats"
 )
 
@@ -206,7 +206,8 @@ type Module struct {
 	// Accounting.
 	trh        int // Rowhammer threshold for the watchdog (0 disables)
 	lineCensus bool
-	census     flatCensus
+	acts       rowtable.Table[uint32]  // activations per row this window; unused under Config.LineCensus
+	lines      rowtable.Table[lineRow] // the same with line bitmaps; used only under Config.LineCensus
 	windowEnd  float64
 	stats      Stats
 
@@ -246,8 +247,12 @@ func New(cfg Config) *Module {
 		busFree:    make([]float64, cfg.Geometry.Channels),
 		trh:        cfg.TRH,
 		lineCensus: cfg.LineCensus,
-		census:     newFlatCensus(cfg.LineCensus),
 		windowEnd:  cfg.Timing.RefreshWindow,
+	}
+	if cfg.LineCensus {
+		m.lines = rowtable.New[lineRow](censusInitSlots)
+	} else {
+		m.acts = rowtable.New[uint32](censusInitSlots)
 	}
 	m.waitBank = make([]float64, cfg.Geometry.Channels)
 	m.waitLease = make([]float64, cfg.Geometry.Channels)
@@ -430,87 +435,6 @@ func (m *Module) AddExtraCAS(n int) { m.stats.ExtraCAS += uint64(n) }
 func (m *Module) BlockChannel(globalRow uint64, from, dur float64) {
 	ch := m.Geom.ChannelOf(globalRow)
 	m.busFree[ch] = max(m.busFree[ch], from) + dur
-}
-
-// recordACT updates window accounting. slot < 0 means "line unknown"
-// (mitigation traffic), which skips the line census.
-func (m *Module) recordACT(row uint64, slot int, at float64, demand bool) {
-	if demand {
-		m.stats.DemandActs++
-		m.mActDemand.Inc()
-		m.rec.Event(metrics.EvActivation, at, row)
-	}
-	for at >= m.windowEnd {
-		m.rollWindow()
-	}
-	idx := m.census.get(row)
-	m.census.slots[idx].acts++
-	// Placed after the window roll so that, at every window close, the
-	// cumulative offered counts equal the cumulative table sums exactly.
-	if m.chk != nil {
-		m.chk.OnCensusACT(demand)
-	}
-	if m.lineCensus && slot >= 0 {
-		m.census.lines[idx][slot>>6] |= 1 << (uint(slot) & 63)
-	}
-}
-
-// rollWindow finalizes the current refresh window and starts the next.
-func (m *Module) rollWindow() {
-	m.finalizeWindow()
-	m.stats.currentStart = m.windowEnd
-	m.windowEnd += m.Timing.RefreshWindow
-}
-
-// finalizeWindow closes the current refresh window into the stats record.
-//
-// cold: runs once per refresh window (milliseconds of simulated time), not
-// per access; the per-window stats append is the intended record.
-func (m *Module) finalizeWindow() {
-	w := WindowStats{Start: m.stats.currentStart, UniqueRows: m.census.len()}
-	var tableActs uint64
-	// Linear slot walk: table order is a pure function of the insertion
-	// history, so this is deterministic (and every field is
-	// order-independent anyway).
-	for idx := range m.census.slots {
-		rc := &m.census.slots[idx]
-		if rc.epoch != m.census.epoch {
-			continue
-		}
-		tableActs += uint64(rc.acts)
-		if rc.acts > w.MaxActs {
-			w.MaxActs = rc.acts
-		}
-		if rc.acts >= 64 {
-			w.Hot64++
-			if m.lineCensus {
-				lb := &m.census.lines[idx]
-				n := bits.OnesCount64(lb[0]) + bits.OnesCount64(lb[1])
-				w.LineSum += n
-				switch {
-				case n <= 32:
-					w.LineBuckets[0]++
-				case n <= 64:
-					w.LineBuckets[1]++
-				default:
-					w.LineBuckets[2]++
-				}
-			}
-		}
-		if rc.acts >= 512 {
-			w.Hot512++
-		}
-		if m.trh > 0 && rc.acts > uint32(m.trh) {
-			w.OverTRH++
-		}
-	}
-	if m.chk != nil {
-		m.chk.OnWindowClose(tableActs)
-	}
-	if w.UniqueRows > 0 || len(m.stats.Windows) == 0 {
-		m.stats.Windows = append(m.stats.Windows, w)
-	}
-	m.census.reset()
 }
 
 // drainChannels folds the per-channel float accumulators into the Stats

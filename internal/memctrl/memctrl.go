@@ -96,12 +96,6 @@ func New(cfg Config) *Controller {
 	return c
 }
 
-// Access performs one line-granular memory access issued at `arrival` ns and
-// returns the time at which data is available.
-func (c *Controller) Access(line uint64, arrival float64) float64 {
-	return c.accessMapped(line, c.Map.Map(line), arrival)
-}
-
 // AccessBatch performs a batch of line-granular accesses all issued at
 // `arrival` ns — the shape of one core's MLP burst, whose misses a real
 // controller receives in its queue together — and returns the latest
@@ -145,11 +139,11 @@ func (c *Controller) AccessBatch(lines []uint64, arrival float64) float64 {
 	return maxCompletion
 }
 
-// accessMapped is the shared post-translation body of Access and
-// AccessBatch. phys must be Map's translation of line under the current
-// mapping state; the translation itself is side-effect-free, so computing
-// it before the access counter and window bookkeeping is equivalent to the
-// historical in-line order.
+// accessMapped is AccessBatch's per-access body after translation. phys
+// must be Map's translation of line under the current mapping state; the
+// translation itself is side-effect-free, so computing it before the
+// access counter and window bookkeeping is equivalent to translating
+// in line.
 //
 // hot: one call per access.
 func (c *Controller) accessMapped(line, phys uint64, arrival float64) float64 {

@@ -54,7 +54,7 @@ func NewDSAC(d *dram.Module, cfg DSACConfig) *DSAC {
 	}
 	return &DSAC{
 		dram:   d,
-		trk:    tracker.NewPerRow(t, d.Geom.TotalRows()),
+		trk:    tracker.NewPerRow(t),
 		escape: esc,
 		rng:    rng.NewXoshiro256(cfg.Seed ^ 0xD5AC),
 	}

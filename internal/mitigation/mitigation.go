@@ -21,6 +21,7 @@ import (
 	"rubix/internal/dram"
 	"rubix/internal/metrics"
 	"rubix/internal/rng"
+	"rubix/internal/rowtable"
 	"rubix/internal/tracker"
 )
 
@@ -72,26 +73,31 @@ func (None) Mitigations() uint64 { return 0 }
 // --- shared migration bookkeeping ---------------------------------------------
 
 // indirection tracks row relocations with forward (original→current) and
-// reverse (current→original) maps, identity when absent.
+// reverse (current→original) tables, identity when absent. The tables are
+// never Reset: a relocation outlives the refresh window.
 type indirection struct {
-	fwd map[uint64]uint64
-	rev map[uint64]uint64
+	fwd rowtable.Table[uint64]
+	rev rowtable.Table[uint64]
 }
 
 func newIndirection() indirection {
-	return indirection{fwd: make(map[uint64]uint64), rev: make(map[uint64]uint64)}
+	return indirection{fwd: rowtable.New[uint64](indirectionInitSlots), rev: rowtable.New[uint64](indirectionInitSlots)}
 }
 
+// indirectionInitSlots is the initial size of the relocation and grant
+// tables, which hold only mitigated rows.
+const indirectionInitSlots = 64
+
 func (in *indirection) current(orig uint64) uint64 {
-	if c, ok := in.fwd[orig]; ok {
-		return c
+	if c := in.fwd.Find(orig); c != nil {
+		return *c
 	}
 	return orig
 }
 
 func (in *indirection) original(cur uint64) uint64 {
-	if o, ok := in.rev[cur]; ok {
-		return o
+	if o := in.rev.Find(cur); o != nil {
+		return *o
 	}
 	return cur
 }
@@ -99,31 +105,26 @@ func (in *indirection) original(cur uint64) uint64 {
 // relocate moves the content currently at cur to dst and records it.
 func (in *indirection) relocate(cur, dst uint64) {
 	orig := in.original(cur)
-	delete(in.rev, cur)
-	if orig == dst {
-		delete(in.fwd, orig)
-	} else {
-		in.fwd[orig] = dst
-		in.rev[dst] = orig
-	}
+	in.rev.Delete(cur)
+	in.set(orig, dst)
 }
 
 // set records that orig's content currently lives at cur, dropping the
-// entries entirely when a row is back home.
+// forward entry entirely when a row is back home.
 func (in *indirection) set(orig, cur uint64) {
 	if orig == cur {
-		delete(in.fwd, orig)
+		in.fwd.Delete(orig)
 	} else {
-		in.fwd[orig] = cur
-		in.rev[cur] = orig
+		*in.fwd.Get(orig) = cur
+		*in.rev.Get(cur) = orig
 	}
 }
 
 // swap exchanges the contents of physical rows a and b.
 func (in *indirection) swap(a, b uint64) {
 	oa, ob := in.original(a), in.original(b)
-	delete(in.rev, a)
-	delete(in.rev, b)
+	in.rev.Delete(a)
+	in.rev.Delete(b)
 	in.set(oa, b)
 	in.set(ob, a)
 }
@@ -262,7 +263,7 @@ func (a *AQUA) OnACT(row uint64, actStart float64) {
 	}
 	// If the slot is occupied from an earlier window, restore its occupant
 	// to the occupant's original home first (residency expiry).
-	if occupant, ok := a.ind.rev[dst]; ok {
+	if occupant := a.ind.original(dst); occupant != dst {
 		a.ind.relocate(dst, occupant)
 		a.forceTracked(dst, actStart)
 		a.forceTracked(occupant, actStart)
@@ -404,7 +405,7 @@ type BlockHammer struct {
 	trk         tracker.Counting
 	blacklist   int
 	minInterval float64
-	nextAllowed map[uint64]float64
+	nextAllowed rowtable.Table[float64] // grants persist across windows: never Reset
 	throttled   uint64
 	delayNs     float64
 
@@ -436,13 +437,13 @@ func NewBlockHammer(d *dram.Module, cfg BlockHammerConfig) *BlockHammer {
 	// the window, so no row can exceed TRH activations per window.
 	trk := cfg.Tracker
 	if trk == nil {
-		trk = tracker.NewPerRow(1<<30, d.Geom.TotalRows())
+		trk = tracker.NewPerRow(1 << 30)
 	}
 	return &BlockHammer{
 		trk:         trk,
 		blacklist:   trh / 2,
 		minInterval: d.Timing.RefreshWindow / float64(trh-trh/2),
-		nextAllowed: make(map[uint64]float64),
+		nextAllowed: rowtable.New[float64](indirectionInitSlots),
 	}
 }
 
@@ -466,11 +467,12 @@ func (b *BlockHammer) ReleaseTime(row uint64, arrival float64) float64 {
 	if int(b.trk.Count(row)) < b.blacklist {
 		return arrival
 	}
+	na := b.nextAllowed.Get(row) // 0 on a row's first grant; arrival is never negative
 	t := arrival
-	if na, ok := b.nextAllowed[row]; ok && na > t {
-		t = na
+	if *na > t {
+		t = *na
 	}
-	b.nextAllowed[row] = t + b.minInterval
+	*na = t + b.minInterval
 	if t > arrival {
 		b.throttled++
 		b.delayNs += t - arrival
@@ -524,7 +526,7 @@ func NewTRR(d *dram.Module, trh int) *TRR {
 	if t < 1 {
 		t = 1
 	}
-	return &TRR{dram: d, trk: tracker.NewPerRow(t, d.Geom.TotalRows())}
+	return &TRR{dram: d, trk: tracker.NewPerRow(t)}
 }
 
 // Name implements Mitigator.

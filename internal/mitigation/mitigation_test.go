@@ -60,7 +60,7 @@ func TestIndirectionRelocate(t *testing.T) {
 	}
 	// Moving home again erases the entry.
 	in.relocate(200, 5)
-	if len(in.fwd) != 0 || len(in.rev) != 0 {
+	if in.fwd.Len() != 0 || in.rev.Len() != 0 {
 		t.Fatal("relocating home should clear maps")
 	}
 }
@@ -76,7 +76,7 @@ func TestIndirectionSwap(t *testing.T) {
 	if in.current(1) != 1 || in.current(2) != 2 {
 		t.Fatal("double swap should restore identity")
 	}
-	if len(in.fwd) != 0 {
+	if in.fwd.Len() != 0 {
 		t.Fatal("identity swaps should leave no entries")
 	}
 	// Chain: 1→2, then 2's new content (orig 1) swaps with 3.

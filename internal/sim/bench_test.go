@@ -56,7 +56,7 @@ func BenchmarkSchedulerOnly(b *testing.B) {
 				for j, p := range profiles {
 					cs[j] = cpu.New(j, cpu.DefaultConfig(), p, 200_000, 42+uint64(j))
 				}
-				runCores(cs, cpu.Serial(func(line uint64, arrival float64) float64 {
+				runCores(cs, serial(func(line uint64, arrival float64) float64 {
 					benchSink = arrival
 					return arrival + 30
 				}))

@@ -81,8 +81,7 @@ func (h *coreHeap) popMin() {
 // runCores drives the event loop: always advance the earliest core so
 // accesses reach the controller in (approximately) global time order. Each
 // core step hands its whole MLP burst to the controller as one batch
-// (cpu.StepBatch), which is where the batched translation path pays off;
-// wrap scalar access functions with cpu.Serial.
+// (cpu.StepBatch), which is where the batched translation path pays off.
 //
 // hot: the simulation main loop; every per-step allocation multiplies by
 // the instruction budget.

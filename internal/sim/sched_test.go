@@ -9,10 +9,25 @@ import (
 	"rubix/internal/workload"
 )
 
+// lineFunc issues one access and returns its completion time.
+type lineFunc func(line uint64, arrival float64) float64
+
+// serial adapts a lineFunc to the burst shape, issuing the burst's lines in
+// order at the common arrival time.
+func serial(f lineFunc) cpu.BatchAccessFunc {
+	return func(lines []uint64, arrival float64) float64 {
+		maxCompletion := arrival
+		for _, line := range lines {
+			maxCompletion = max(maxCompletion, f(line, arrival))
+		}
+		return maxCompletion
+	}
+}
+
 // linearRunCores is the retired O(cores)-per-event scheduler, kept as the
 // ordering oracle for the heap: always advance the first core holding the
 // strictly smallest Now (ties resolve to the lowest index).
-func linearRunCores(cores []*cpu.Core, access cpu.AccessFunc) {
+func linearRunCores(cores []*cpu.Core, access lineFunc) {
 	for {
 		var next *cpu.Core
 		for _, c := range cores {
@@ -26,7 +41,7 @@ func linearRunCores(cores []*cpu.Core, access cpu.AccessFunc) {
 		if next == nil {
 			break
 		}
-		next.Step(access)
+		next.StepBatch(serial(access))
 	}
 }
 
@@ -49,7 +64,7 @@ func buildCores(t *testing.T, n int, instr uint64) []*cpu.Core {
 // access is a deterministic stand-in for the memory controller with enough
 // latency spread (a bank-conflict-like modulus) to interleave cores
 // nontrivially.
-func orderRecordingAccess(order *[]uint64) cpu.AccessFunc {
+func orderRecordingAccess(order *[]uint64) lineFunc {
 	return func(line uint64, arrival float64) float64 {
 		*order = append(*order, line)
 		return arrival + 30 + float64(line%7)*12
@@ -65,7 +80,7 @@ func TestHeapMatchesLinearScan(t *testing.T) {
 			const instr = 400_000
 			var gotOrder, wantOrder []uint64
 			heapCores := buildCores(t, n, instr)
-			runCores(heapCores, cpu.Serial(orderRecordingAccess(&gotOrder)))
+			runCores(heapCores, serial(orderRecordingAccess(&gotOrder)))
 			linCores := buildCores(t, n, instr)
 			linearRunCores(linCores, orderRecordingAccess(&wantOrder))
 
@@ -105,7 +120,7 @@ func TestHeapTieBreakOrder(t *testing.T) {
 	var heapIDs, linIDs []uint64
 	quarter := g.TotalLines() / 8
 	idOf := func(line uint64) uint64 { return line / quarter }
-	runCores(cores, cpu.Serial(func(line uint64, arrival float64) float64 {
+	runCores(cores, serial(func(line uint64, arrival float64) float64 {
 		heapIDs = append(heapIDs, idOf(line))
 		return arrival + 40
 	}))

@@ -18,15 +18,18 @@
 
 package tracker
 
-import "rubix/internal/metrics"
+import (
+	"rubix/internal/metrics"
+	"rubix/internal/rowtable"
+)
 
 // Hydra is the hybrid group/row activation tracker.
 type Hydra struct {
 	rowThreshold   uint32
 	groupThreshold uint32
 	groupShift     uint
-	groups         map[uint64]uint32
-	rows           map[uint64]uint32
+	groups         rowtable.Table[uint32] // keyed by group number
+	rows           rowtable.Table[uint32]
 	reports        uint64
 
 	mLookups *metrics.Counter
@@ -72,8 +75,8 @@ func NewHydra(cfg HydraConfig) *Hydra {
 		rowThreshold:   uint32(cfg.Threshold),
 		groupThreshold: gt,
 		groupShift:     shift,
-		groups:         make(map[uint64]uint32),
-		rows:           make(map[uint64]uint32),
+		groups:         rowtable.New[uint32](trackerInitSlots),
+		rows:           rowtable.New[uint32](trackerInitSlots),
 	}
 }
 
@@ -97,15 +100,15 @@ func (h *Hydra) SetMetrics(r *metrics.Recorder) {
 func (h *Hydra) RecordACT(row uint64) bool {
 	h.mLookups.Inc()
 	group := row >> h.groupShift
-	if gc, warm := h.groups[group]; !warm || gc < h.groupThreshold {
-		gc++
-		h.groups[group] = gc
-		if gc >= h.rowThreshold {
+	gc := h.groups.Get(group)
+	if *gc < h.groupThreshold {
+		*gc++
+		if *gc >= h.rowThreshold {
 			// The group counter alone proves SOME row may have reached the
 			// threshold; report this row and restart its group. (With
 			// groupThreshold < rowThreshold this only triggers when
 			// groupThreshold is configured at 1.0.)
-			delete(h.groups, group)
+			h.groups.Delete(group)
 			h.reports++
 			h.mReports.Inc()
 			return true
@@ -117,25 +120,25 @@ func (h *Hydra) RecordACT(row uint64) bool {
 	// its own prior activations — pessimistic, which is what makes Hydra
 	// over-mitigate at ultra-low thresholds); after a report the row
 	// restarts at zero, since the mitigation neutralized its history.
-	rc, ok := h.rows[row]
-	if !ok {
-		rc = h.groups[group]
+	rc := h.rows.Find(row)
+	if rc == nil {
+		rc = h.rows.Get(row)
+		*rc = *gc
 	}
-	rc++
-	if rc >= h.rowThreshold {
-		h.rows[row] = 0
+	*rc++
+	if *rc >= h.rowThreshold {
+		*rc = 0
 		h.reports++
 		h.mReports.Inc()
 		return true
 	}
-	h.rows[row] = rc
 	return false
 }
 
 // Reset implements Tracker.
 func (h *Hydra) Reset() {
-	clear(h.groups)
-	clear(h.rows)
+	h.groups.Reset()
+	h.rows.Reset()
 }
 
 // Reports returns the cumulative number of threshold reports.
@@ -145,14 +148,13 @@ func (h *Hydra) Reports() uint64 { return h.reports }
 // studies).
 func (h *Hydra) WarmGroups() int {
 	n := 0
-	//lint:allow determinism order-independent: counts entries matching a predicate, order cannot reach the total
-	for _, gc := range h.groups {
-		if gc >= h.groupThreshold {
+	h.groups.Each(func(_ uint64, gc *uint32) {
+		if *gc >= h.groupThreshold {
 			n++
 		}
-	}
+	})
 	return n
 }
 
 // TrackedRows reports the number of materialized per-row counters.
-func (h *Hydra) TrackedRows() int { return len(h.rows) }
+func (h *Hydra) TrackedRows() int { return h.rows.Len() }

@@ -1,23 +1,19 @@
 // Package tracker implements DRAM activation trackers: the components that
 // watch per-row activation counts and flag rows that reach a mitigation
-// threshold within the refresh window.
-//
-// Two trackers are provided, matching the paper's methodology (§3.1):
-//
-//   - MisraGries: the space-efficient heavy-hitters tracker used by AQUA and
-//     SRS. With capacity c it guarantees that any row with more than
-//     (ACTs in window)/c activations is tracked, so sizing c = window
-//     activation budget / threshold gives guaranteed detection.
-//
-//   - PerRow: the idealized SRAM tracker used for BlockHammer — one counter
-//     per row in memory, exact by construction.
+// threshold within the refresh window (§3.1). MisraGries is the bounded
+// heavy-hitters tracker of AQUA and SRS; PerRow is BlockHammer's idealized
+// one-counter-per-row tracker; Hydra and CBF model cheaper hardware for
+// tracking-fidelity studies. Per-row state lives in rowtable tables.
 //
 // Trackers count *activations* (ACT commands), not accesses: row-buffer hits
 // do not disturb neighbouring rows. Counts reset every refresh window
 // (64 ms), which is why mitigations use a tracker threshold of T_RH/2.
 package tracker
 
-import "rubix/internal/metrics"
+import (
+	"rubix/internal/metrics"
+	"rubix/internal/rowtable"
+)
 
 // Tracker watches row activations and reports rows reaching a threshold.
 type Tracker interface {
@@ -51,7 +47,7 @@ type MisraGries struct {
 	threshold uint32
 	capacity  int
 	floor     uint32
-	counts    map[uint64]uint32 // stored as true count; entry live iff count > floor
+	counts    rowtable.Table[uint32] // stored as true count; entry live iff count > floor
 	reports   uint64
 
 	mLookups   *metrics.Counter
@@ -71,16 +67,12 @@ func NewMisraGries(threshold int, capacity int) *MisraGries {
 	}
 	// The capacity is a logical entry bound, not a storage commitment: a
 	// low-threshold tracker may be entitled to millions of entries yet hold
-	// a few thousand for its whole life. Cap the pre-size hint and let the
-	// map grow to workloads that actually need it.
-	hint := capacity
-	if hint > 1<<12 {
-		hint = 1 << 12
-	}
+	// a few thousand for its whole life. Size the table for at most 4096
+	// entries at its 3/4 load and let it grow to workloads that need more.
 	return &MisraGries{
 		threshold: uint32(threshold),
 		capacity:  capacity,
-		counts:    make(map[uint64]uint32, hint),
+		counts:    rowtable.New[uint32](min(capacity, 1<<12) * 4 / 3),
 	}
 }
 
@@ -99,49 +91,52 @@ func (t *MisraGries) SetMetrics(r *metrics.Recorder) {
 // RecordACT implements Tracker.
 func (t *MisraGries) RecordACT(row uint64) bool {
 	t.mLookups.Inc()
-	if c, ok := t.counts[row]; ok {
-		c++
-		if c-t.floor >= t.threshold {
-			// Report and reset: the mitigation acts on this row now.
-			delete(t.counts, row)
-			t.reports++
-			t.mReports.Inc()
-			return true
+	var c *uint32
+	if t.counts.Len() < t.capacity {
+		// A fresh claim reads 0, and live counts always exceed the floor.
+		if c = t.counts.Get(row); *c == 0 {
+			*c = t.floor
 		}
-		t.counts[row] = c
+	} else if c = t.counts.Find(row); c == nil {
+		t.decrementAll()
 		return false
 	}
-	if len(t.counts) < t.capacity {
-		t.counts[row] = t.floor + 1
-		if 1 >= t.threshold {
-			delete(t.counts, row)
-			t.reports++
-			t.mReports.Inc()
-			return true
-		}
-		return false
-	}
-	// Table full: Misra-Gries decrement-all, realized as floor increment
-	// with lazy eviction of entries that fall to the floor.
-	t.floor++
-	//lint:allow determinism order-independent: every entry at or below the floor is deleted, whatever order the map yields them
-	for r, c := range t.counts {
-		if c <= t.floor {
-			delete(t.counts, r)
-			t.mEvictions.Inc()
-		}
+	*c++
+	if *c-t.floor >= t.threshold {
+		// Report and reset: the mitigation acts on this row now.
+		t.counts.Delete(row)
+		t.reports++
+		t.mReports.Inc()
+		return true
 	}
 	return false
+}
+
+// decrementAll is the Misra-Gries step for a full table, realized as a
+// floor increment that evicts every entry falling to the floor.
+//
+// cold: only a full table reaches it, and auto-sizing sets the capacity to
+// the window's ACT budget over the threshold, so a window must first touch
+// that many distinct rows. The closure does not escape Each, so it is
+// stack-allocated.
+func (t *MisraGries) decrementAll() {
+	t.floor++
+	t.counts.Each(func(row uint64, c *uint32) {
+		if *c <= t.floor {
+			t.counts.Delete(row)
+			t.mEvictions.Inc()
+		}
+	})
 }
 
 // Reset implements Tracker.
 func (t *MisraGries) Reset() {
 	t.floor = 0
-	clear(t.counts)
+	t.counts.Reset()
 }
 
 // Entries reports the number of live entries (for tests and sizing studies).
-func (t *MisraGries) Entries() int { return len(t.counts) }
+func (t *MisraGries) Entries() int { return t.counts.Len() }
 
 // Reports returns the cumulative number of threshold reports.
 func (t *MisraGries) Reports() uint64 { return t.reports }
@@ -150,51 +145,26 @@ func (t *MisraGries) Reports() uint64 { return t.reports }
 
 // PerRow is an exact tracker with one counter per row in memory, as assumed
 // for BlockHammer in the paper ("an idealized SRAM tracker with one counter
-// per row"). The *hardware* it models is a dense counter array; the
-// simulation stores only rows actually touched this window, in an
-// open-addressed epoch-stamped table, so constructing a tracker over a
-// 2M-row module costs a few KB instead of two row-sized arrays. Untouched
-// rows read as count 0 — exactly what the dense array would hold — and
-// resets are O(1) via the epoch stamp.
+// per row"). The simulation stores only rows touched this window; untouched
+// rows read as count 0, exactly what the modeled dense array would hold.
 type PerRow struct {
 	threshold uint32
-	epoch     uint32
-	slots     []perRowSlot
-	mask      uint64
-	shift     uint
-	live      int // slots claimed in the current epoch
+	counts    rowtable.Table[uint32]
 	reports   uint64
 
 	mLookups *metrics.Counter
 	mReports *metrics.Counter
 }
 
-// perRowSlot holds one touched row. A slot is free iff its epoch differs
-// from the tracker's current epoch, so Reset (epoch++) frees every slot at
-// once without touching memory.
-type perRowSlot struct {
-	row   uint64 // addr: row
-	epoch uint32
-	count uint32
-}
+// trackerInitSlots is the initial table size of PerRow and Hydra.
+const trackerInitSlots = 1 << 10
 
-const perRowInitSlots = 1 << 10
-
-// NewPerRow builds an exact tracker over totalRows rows reporting at
-// threshold activations. totalRows documents the modeled counter-array
-// size; storage is proportional to rows touched per window.
-func NewPerRow(threshold int, totalRows uint64) *PerRow {
+// NewPerRow builds an exact tracker reporting at threshold activations.
+func NewPerRow(threshold int) *PerRow {
 	if threshold < 1 {
 		threshold = 1
 	}
-	_ = totalRows
-	return &PerRow{
-		threshold: uint32(threshold),
-		epoch:     1,
-		slots:     make([]perRowSlot, perRowInitSlots),
-		mask:      perRowInitSlots - 1,
-		shift:     64 - 10,
-	}
+	return &PerRow{threshold: uint32(threshold), counts: rowtable.New[uint32](trackerInitSlots)}
 }
 
 // Name implements Tracker.
@@ -206,61 +176,13 @@ func (t *PerRow) SetMetrics(r *metrics.Recorder) {
 	t.mReports = r.Counter("tracker_reports")
 }
 
-// slot returns the table entry for row, claiming a free slot on first touch
-// this epoch. Fibonacci hashing with linear probing; the probe path only
-// crosses slots live in the current epoch, so stale entries can be
-// reclaimed freely.
-func (t *PerRow) slot(row uint64) *perRowSlot {
-	if (t.live+1)*4 > len(t.slots)*3 {
-		t.grow()
-	}
-	i := (row * 0x9E3779B97F4A7C15) >> t.shift
-	for {
-		s := &t.slots[i]
-		if s.epoch != t.epoch {
-			s.row = row
-			s.epoch = t.epoch
-			s.count = 0
-			t.live++
-			return s
-		}
-		if s.row == row {
-			return s
-		}
-		i = (i + 1) & t.mask
-	}
-}
-
-// grow doubles the table and reinserts only the current epoch's live
-// entries.
-//
-// cold: geometric growth amortizes to zero allocations per recorded ACT
-// once the table covers the window's working set.
-func (t *PerRow) grow() {
-	old := t.slots
-	t.slots = make([]perRowSlot, 2*len(old))
-	t.mask = uint64(len(t.slots) - 1)
-	t.shift--
-	for oi := range old {
-		s := &old[oi]
-		if s.epoch != t.epoch {
-			continue
-		}
-		i := (s.row * 0x9E3779B97F4A7C15) >> t.shift
-		for t.slots[i].epoch == t.epoch {
-			i = (i + 1) & t.mask
-		}
-		t.slots[i] = *s
-	}
-}
-
 // RecordACT implements Tracker.
 func (t *PerRow) RecordACT(row uint64) bool {
 	t.mLookups.Inc()
-	s := t.slot(row)
-	s.count++
-	if s.count >= t.threshold {
-		s.count = 0
+	c := t.counts.Get(row)
+	*c++
+	if *c >= t.threshold {
+		*c = 0
 		t.reports++
 		t.mReports.Inc()
 		return true
@@ -271,30 +193,14 @@ func (t *PerRow) RecordACT(row uint64) bool {
 // Count returns the current in-window count for a row (0 if untouched this
 // window). Used by BlockHammer's throttle decision.
 func (t *PerRow) Count(row uint64) uint32 {
-	i := (row * 0x9E3779B97F4A7C15) >> t.shift
-	for {
-		s := &t.slots[i]
-		if s.epoch != t.epoch {
-			return 0
-		}
-		if s.row == row {
-			return s.count
-		}
-		i = (i + 1) & t.mask
+	if c := t.counts.Find(row); c != nil {
+		return *c
 	}
+	return 0
 }
 
 // Reset implements Tracker.
-func (t *PerRow) Reset() {
-	t.live = 0
-	t.epoch++
-	if t.epoch == 0 {
-		// Epoch wrapped: stale slots stamped 0 would read as live. Clear
-		// once per 2^32 windows.
-		clear(t.slots)
-		t.epoch = 1
-	}
-}
+func (t *PerRow) Reset() { t.counts.Reset() }
 
 // Reports returns the cumulative number of threshold reports.
 func (t *PerRow) Reports() uint64 { return t.reports }

@@ -100,7 +100,7 @@ func TestMisraGriesDecrementEviction(t *testing.T) {
 }
 
 func TestPerRowExact(t *testing.T) {
-	trk := NewPerRow(3, 100)
+	trk := NewPerRow(3)
 	if trk.RecordACT(42) || trk.RecordACT(42) {
 		t.Fatal("reported before threshold")
 	}
@@ -119,7 +119,7 @@ func TestPerRowExact(t *testing.T) {
 }
 
 func TestPerRowResetIsO1AndComplete(t *testing.T) {
-	trk := NewPerRow(1000, 1000)
+	trk := NewPerRow(1000)
 	for row := uint64(0); row < 1000; row++ {
 		trk.RecordACT(row)
 		trk.RecordACT(row)
@@ -138,7 +138,7 @@ func TestPerRowResetIsO1AndComplete(t *testing.T) {
 }
 
 func TestPerRowIndependentRows(t *testing.T) {
-	trk := NewPerRow(10, 64)
+	trk := NewPerRow(10)
 	for i := 0; i < 9; i++ {
 		trk.RecordACT(1)
 	}
@@ -195,7 +195,7 @@ func (t *densePerRow) reset() { t.epoch++ }
 // behavior.
 func TestPerRowDifferentialVsDense(t *testing.T) {
 	const totalRows = 1 << 16
-	flat := NewPerRow(5, totalRows)
+	flat := NewPerRow(5)
 	dense := newDensePerRow(5, totalRows)
 	r := rng.NewXoshiro256(99)
 	for win := 0; win < 4; win++ {
@@ -224,8 +224,8 @@ func TestPerRowDifferentialVsDense(t *testing.T) {
 // TestPerRowGrowthPreservesCounts fills past several load-factor doublings
 // within one window and checks every count survived the rehashes.
 func TestPerRowGrowthPreservesCounts(t *testing.T) {
-	trk := NewPerRow(1<<30, 1<<20)
-	const n = 10_000 // >> perRowInitSlots
+	trk := NewPerRow(1 << 30)
+	const n = 10_000 // >> trackerInitSlots
 	for row := uint64(0); row < n; row++ {
 		for k := uint64(0); k <= row%3; k++ {
 			trk.RecordACT(row)
@@ -239,7 +239,7 @@ func TestPerRowGrowthPreservesCounts(t *testing.T) {
 }
 
 func TestPerRowSteadyStateAllocFree(t *testing.T) {
-	trk := NewPerRow(1<<30, 1<<20)
+	trk := NewPerRow(1 << 30)
 	for row := uint64(0); row < 4096; row++ {
 		trk.RecordACT(row)
 	}
@@ -253,7 +253,7 @@ func TestPerRowSteadyStateAllocFree(t *testing.T) {
 }
 
 func TestTrackerInterfaceCompliance(t *testing.T) {
-	for _, trk := range []Tracker{NewMisraGries(4, 4), NewPerRow(4, 16)} {
+	for _, trk := range []Tracker{NewMisraGries(4, 4), NewPerRow(4)} {
 		if trk.Name() == "" {
 			t.Error("empty tracker name")
 		}

@@ -34,6 +34,11 @@ func buildPipeline(t *testing.T, mapName string) (*cache.Cache, *memctrl.Control
 	return llc, ctrl, mod
 }
 
+// access drains one miss through the controller.
+func access(ctrl *memctrl.Controller, line uint64, now float64) float64 {
+	return ctrl.AccessBatch([]uint64{line}, now)
+}
+
 func TestPipelineCacheFiltersMemoryTraffic(t *testing.T) {
 	llc, ctrl, mod := buildPipeline(t, "coffeelake")
 	r := rng.NewXoshiro256(1)
@@ -44,10 +49,10 @@ func TestPipelineCacheFiltersMemoryTraffic(t *testing.T) {
 		line := r.Uint64n(workingLines)
 		res := llc.Access(line, i%4 == 0)
 		if !res.Hit {
-			now = ctrl.Access(line, now)
+			now = access(ctrl, line, now)
 		}
 		if res.Writeback {
-			now = ctrl.Access(res.Victim, now)
+			now = access(ctrl, res.Victim, now)
 		}
 	}
 	s := mod.Finalize()
@@ -69,7 +74,7 @@ func TestPipelineThrashingReachesMemory(t *testing.T) {
 	for i := 0; i < accesses; i++ {
 		line := r.Uint64n(workingLines)
 		if !llc.Access(line, false).Hit {
-			now = ctrl.Access(line, now)
+			now = access(ctrl, line, now)
 		}
 	}
 	s := mod.Finalize()
@@ -96,15 +101,15 @@ func TestPipelineBatchDrainMatchesScalar(t *testing.T) {
 			nowA, nowB := 0.0, 0.0
 			var batchA, batchB []uint64
 			// Both sides issue each chunk's misses at one common arrival
-			// time (a burst, as cpu.Serial does); only the drain mechanism
-			// differs: per-line Access vs one AccessBatch call.
+			// time (a burst); only the drain mechanism differs: one
+			// single-line AccessBatch per miss vs one call per chunk.
 			flush := func() {
 				if len(batchA) == 0 {
 					return
 				}
 				maxA := nowA
 				for _, line := range batchA {
-					if comp := ctrlA.Access(line, nowA); comp > maxA {
+					if comp := access(ctrlA, line, nowA); comp > maxA {
 						maxA = comp
 					}
 				}
@@ -167,7 +172,7 @@ func TestPipelineHotPageThroughCacheStillMakesHotRow(t *testing.T) {
 				line = r.Uint64n(big)
 			}
 			if !llc.Access(line, false).Hit {
-				now = ctrl.Access(line, now)
+				now = access(ctrl, line, now)
 			}
 		}
 		s := mod.Finalize()
