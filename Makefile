@@ -19,11 +19,11 @@ race-concurrency:
 	go test -race -count=2 ./internal/sim/... ./internal/metrics/... ./internal/check/...
 
 # The full local gate: vet plus the project invariants suite (determinism,
-# bitwidth, seedflow, panicpolicy, observereffect, addrwidth, errdiscard,
-# lockdiscipline, goroutineescape, goroutineleak, waitgroup, and the
-# domain/unit analyzers addrspace, unitflow, hotalloc — see internal/lint).
-# rubixlint -fix applies the suite's suggested fixes, including the
-# addrspace `// addr:` annotation autofix.
+# bitwidth, seedflow, panicpolicy, observereffect, errdiscard,
+# lockdiscipline, goroutineescape, and the domain/unit analyzers addrspace,
+# unitflow, hotalloc — see internal/lint). rubixlint -fix applies the
+# suite's suggested fixes, including the addrspace `// addr:` annotation
+# and the bitwidth narrowing-mask autofixes.
 lint:
 	go vet ./...
 	go run ./cmd/rubixlint ./...
@@ -37,13 +37,16 @@ lint-audit:
 ci: build test race lint lint-audit
 
 # Fuzz smoke: every fuzz target for 15 s — the row table against a Go map,
-# the Result decoder on arbitrary bytes, and the K-Cipher round trip.
+# the Result decoder, the store entry decoder and the trace reader on
+# arbitrary bytes, and the K-Cipher round trip.
 # `go test -fuzz` takes one package and one target per run; plain `go test`
 # replays only the seed corpora.
 fuzz:
 	go test ./internal/rowtable -run '^$$' -fuzz '^FuzzRowTable$$' -fuzztime 15s
 	go test ./internal/sim -run '^$$' -fuzz '^FuzzDecodeResult$$' -fuzztime 15s
 	go test ./internal/kcipher -run '^$$' -fuzz '^FuzzKCipherRoundTrip$$' -fuzztime 15s
+	go test ./internal/store -run '^$$' -fuzz '^FuzzStoreEntry$$' -fuzztime 15s
+	go test ./internal/trace -run '^$$' -fuzz '^FuzzTraceReader$$' -fuzztime 15s
 
 # Refresh the committed benchmark baseline for the sim hot path
 # (mapping/cipher/DRAM/core micro-benchmarks plus the end-to-end run).

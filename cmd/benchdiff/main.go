@@ -10,6 +10,8 @@
 // multiplicative tolerance; bytes/op sits in between. Benchmarks present
 // on only one side are reported but never fail the gate, so adding a
 // benchmark does not require regenerating the baseline in the same change.
+// A run in which no fresh result matches any baseline row fails, since it
+// compared nothing.
 //
 // Usage:
 //
@@ -108,7 +110,13 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	if failed > 0 {
 		return fmt.Errorf("%d benchmark(s) regressed past tolerance", failed)
 	}
-	return nil
+	for _, v := range verdicts {
+		if v.Base != nil && v.Fresh != nil {
+			return nil
+		}
+	}
+	return fmt.Errorf("no fresh result matches a baseline benchmark (%d fresh, %d baseline): nothing was compared",
+		len(fresh.Results), len(base.Results))
 }
 
 func readDoc(path string) (Doc, error) {

@@ -186,3 +186,24 @@ func TestRunMissingBaseline(t *testing.T) {
 		t.Fatal("missing baseline accepted")
 	}
 }
+
+// TestRunNothingMatchedFails pins that a fresh run sharing no benchmark
+// with the baseline (say, names still carrying a -N GOMAXPROCS suffix) is
+// an error, not a clean pass.
+func TestRunNothingMatchedFails(t *testing.T) {
+	dir := t.TempDir()
+	basePath := writeDoc(t, dir, "base.json", Doc{Results: []Result{
+		{Name: "BenchmarkX", Package: "p", NsPerOp: 1000, AllocsPerOp: 10},
+	}})
+	fresh, err := json.Marshal(Doc{Results: []Result{
+		{Name: "BenchmarkX-2", Package: "p", NsPerOp: 1000, AllocsPerOp: 10},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	err = run([]string{"-baseline", basePath}, bytes.NewReader(fresh), &out)
+	if err == nil || !strings.Contains(err.Error(), "no fresh result matches") {
+		t.Fatalf("unmatched run: err = %v, want a no-match error\n%s", err, out.String())
+	}
+}

@@ -7,10 +7,11 @@
 //	go test -bench . -benchmem -run '^$' ./... | go run ./cmd/benchjson > BENCH_sim.json
 //
 // Only benchmark result lines are parsed; build noise, PASS/ok lines, and
-// unparsable lines pass through to stderr untouched. Iteration counts and
-// wall-clock-dependent ns/op vary run to run — the committed baseline is a
-// reference point for humans and coarse regression eyeballing, not a CI
-// gate.
+// unparsable lines pass through to stderr untouched. Names lose the -N
+// GOMAXPROCS suffix, so results from hosts with different CPU counts join.
+// Iteration counts and wall-clock-dependent ns/op vary run to run, so
+// cmd/benchdiff gates ns/op against the committed baseline only loosely and
+// allocs/op strictly.
 package main
 
 import (
@@ -86,7 +87,7 @@ func parseBenchLine(line, pkg string) (Result, bool) {
 	if err != nil {
 		return Result{}, false
 	}
-	r := Result{Name: fields[0], Package: pkg, Iterations: iters}
+	r := Result{Name: trimProcs(fields[0]), Package: pkg, Iterations: iters}
 	for i := 2; i+1 < len(fields); i += 2 {
 		val, unit := fields[i], fields[i+1]
 		switch unit {
@@ -106,4 +107,21 @@ func parseBenchLine(line, pkg string) (Result, bool) {
 		return Result{}, false
 	}
 	return r, true
+}
+
+// trimProcs drops the -N suffix `go test` appends to a benchmark name when
+// GOMAXPROCS is above 1, so a baseline recorded on one host matches fresh
+// results from another. A name whose last hyphen is followed by anything
+// but digits is returned unchanged.
+func trimProcs(name string) string {
+	i := strings.LastIndexByte(name, '-')
+	if i < 0 || i == len(name)-1 {
+		return name
+	}
+	for _, c := range name[i+1:] {
+		if c < '0' || c > '9' {
+			return name
+		}
+	}
+	return name[:i]
 }

@@ -1,9 +1,8 @@
 // Command rubixlint runs the project's static-analysis suite (see
 // internal/lint: determinism, bitwidth, seedflow, panicpolicy, the
-// interprocedural observereffect, addrwidth, and errdiscard analyzers, the
-// concurrency gates lockdiscipline, goroutineescape, goroutineleak, and
-// waitgroup, and the domain/unit analyzers addrspace, unitflow, and
-// hotalloc) over the module.
+// interprocedural observereffect and errdiscard analyzers, the concurrency
+// gates lockdiscipline and goroutineescape, and the domain/unit analyzers
+// addrspace, unitflow, and hotalloc) over the module.
 //
 // Usage:
 //
@@ -21,7 +20,6 @@
 // Flags:
 //
 //	-fix          apply the first suggested fix of every finding in place
-//	-json         emit findings as a JSON document instead of text
 //	-sarif        emit findings as minimal SARIF 2.1.0 instead of text
 //	-only names   run only the named analyzers (comma-separated); an
 //	              unknown name is a usage error (exit 2)
@@ -56,22 +54,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("rubixlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	fix := fs.Bool("fix", false, "apply the first suggested fix of every finding in place")
-	asJSON := fs.Bool("json", false, "emit findings as JSON")
 	asSARIF := fs.Bool("sarif", false, "emit findings as SARIF 2.1.0")
 	only := fs.String("only", "", "comma-separated analyzer names to run (default: all)")
 	audit := fs.Bool("allow-audit", false, "audit //lint:allow directives: fail on stale or unjustified guards")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: rubixlint [-fix] [-json|-sarif] [-only names] [-allow-audit] [packages]\n\nRuns the project invariants suite over the module.\n\nAnalyzers:\n")
+		fmt.Fprintf(stderr, "usage: rubixlint [-fix] [-sarif] [-only names] [-allow-audit] [packages]\n\nRuns the project invariants suite over the module.\n\nAnalyzers:\n")
 		for _, a := range lint.All() {
 			fmt.Fprintf(stderr, "  %-16s %s\n", a.Name, a.Doc)
 		}
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if *asJSON && *asSARIF {
-		fmt.Fprintln(stderr, "rubixlint: -json and -sarif are mutually exclusive")
 		return 2
 	}
 	analyzers, err := selectAnalyzers(*only)
@@ -142,18 +135,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		diags = unfixed
 	}
 
-	switch {
-	case *asJSON:
-		if err := writeJSON(stdout, root, diags); err != nil {
-			fmt.Fprintln(stderr, "rubixlint:", err)
-			return 2
-		}
-	case *asSARIF:
+	if *asSARIF {
 		if err := writeSARIF(stdout, root, diags); err != nil {
 			fmt.Fprintln(stderr, "rubixlint:", err)
 			return 2
 		}
-	default:
+	} else {
 		for _, d := range diags {
 			if rel, err := filepath.Rel(root, d.Pos.Filename); err == nil {
 				d.Pos.Filename = rel
@@ -244,55 +231,6 @@ func patternScope(pkgs []*lint.Package, patterns []string, root, modulePath stri
 	return func(a *lint.Analyzer, pkgPath string) bool {
 		return selected[pkgPath] && base(a, pkgPath)
 	}, nil
-}
-
-// jsonSchema identifies the -json document shape; jsonSchemaVersion bumps
-// on any incompatible change to it. Consumers should reject documents whose
-// schema string they do not recognize and tolerate version increments that
-// only add fields.
-const (
-	jsonSchema        = "rubixlint-findings"
-	jsonSchemaVersion = 1
-)
-
-// jsonReport is the top-level -json document.
-type jsonReport struct {
-	Schema   string           `json:"schema"`
-	Version  int              `json:"version"`
-	Findings []jsonDiagnostic `json:"findings"`
-}
-
-// jsonDiagnostic is one finding in the -json output. Rule is the stable
-// analyzer identifier and is byte-identical to the SARIF ruleId for the
-// same finding, so cross-format correlation is a string compare.
-type jsonDiagnostic struct {
-	File    string `json:"file"`
-	Line    int    `json:"line"`
-	Column  int    `json:"column"`
-	Rule    string `json:"rule"`
-	Message string `json:"message"`
-	Fixable bool   `json:"fixable"`
-}
-
-func writeJSON(w io.Writer, root string, diags []lint.Diagnostic) error {
-	findings := make([]jsonDiagnostic, 0, len(diags))
-	for _, d := range diags {
-		file := d.Pos.Filename
-		if rel, err := filepath.Rel(root, file); err == nil {
-			file = filepath.ToSlash(rel)
-		}
-		findings = append(findings, jsonDiagnostic{
-			File:    file,
-			Line:    d.Pos.Line,
-			Column:  d.Pos.Column,
-			Rule:    d.Analyzer,
-			Message: d.Message,
-			Fixable: len(d.Fixes) > 0,
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(jsonReport{Schema: jsonSchema, Version: jsonSchemaVersion, Findings: findings})
 }
 
 // SARIF 2.1.0 minimal shapes — just enough for code-scanning upload.

@@ -122,7 +122,9 @@ func main() {
 			os.Exit(1)
 		}
 		go func() {
-			//lint:allow goroutineleak Start's serve goroutine sends exactly one error on the buffered errc when the listener exits; until then this reporter goroutine is meant to idle for the process lifetime
+			// Start's serve goroutine sends exactly one error on the
+			// buffered errc when the listener exits; until then this
+			// reporter goroutine idles for the process lifetime.
 			if err := <-errc; err != nil && err != http.ErrServerClosed {
 				fmt.Fprintln(os.Stderr, "rubixsim: pprof server:", err)
 			}

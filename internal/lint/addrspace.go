@@ -240,13 +240,54 @@ func inferAddrAnnotations(pass *Pass, facts *domainFacts) {
 	}
 }
 
+// addrNameParts mark an identifier as address-carrying; addrNameVeto
+// disqualifies identifiers that merely describe address geometry (widths,
+// counts, masks) rather than carrying an address. addrSliceVeto omits the
+// plural geometry words: on a scalar "lines" is a count, but a slice named
+// "lines" IS a batch of addresses — exactly the values MapBatch moves.
+var (
+	addrNameParts = []string{"line", "row", "phys", "addr", "gang", "victim", "aggr", "block"}
+	addrNameVeto  = []string{"bits", "width", "mask", "count", "per", "size", "rate", "num", "rows", "lines", "blocks"}
+	addrSliceVeto = []string{"bits", "width", "mask", "count", "per", "size", "rate", "num"}
+)
+
+// isAddrName reports whether a defined identifier names an address value.
+func isAddrName(name string) bool { return matchesAddrVocab(name, addrNameVeto) }
+
 // isAddrSliceVar reports whether the variable is a slice of addresses by
 // name (the batch vocabulary).
 func isAddrSliceVar(fv *types.Var) bool {
 	if _, ok := sliceElemIntWidth(fv.Type()); !ok {
 		return false
 	}
-	return isAddrSliceName(fv.Name())
+	return matchesAddrVocab(fv.Name(), addrSliceVeto)
+}
+
+// matchesAddrVocab reports whether name contains an address word and none of
+// the veto words.
+func matchesAddrVocab(name string, veto []string) bool {
+	l := strings.ToLower(name)
+	for _, v := range veto {
+		if strings.Contains(l, v) {
+			return false
+		}
+	}
+	for _, p := range addrNameParts {
+		if strings.Contains(l, p) {
+			return true
+		}
+	}
+	return false
+}
+
+// sliceElemIntWidth returns the element bit width when t is a slice of
+// (unnamed or named) integers.
+func sliceElemIntWidth(t types.Type) (int, bool) {
+	sl, ok := t.Underlying().(*types.Slice)
+	if !ok {
+		return 0, false
+	}
+	return intWidth(sl.Elem())
 }
 
 // addrAnnotationFix appends `// addr: <domain>` to the field declaration,

@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"fmt"
 	"go/ast"
 	"go/constant"
 	"go/token"
@@ -168,8 +169,31 @@ func checkNarrowing(pass *Pass, call *ast.CallExpr, guards []guard) {
 	if guardedBefore(pass, guards, arg, call.Pos()) {
 		return
 	}
-	pass.Reportf(call.Pos(), "narrowing conversion from %d-bit %s to %d-bit %s may truncate an address; mask, range-check, or annotate with //lint:allow bitwidth <why>",
-		srcW, srcT, dstW, tv.Type)
+	var fixes []SuggestedFix
+	if !isSigned(tv.Type) {
+		fixes = maskFix(arg, dstW)
+	}
+	pass.Report(call.Pos(), fmt.Sprintf("narrowing conversion from %d-bit %s to %d-bit %s may truncate an address; mask, range-check, or annotate with //lint:allow bitwidth <why>",
+		srcW, srcT, dstW, tv.Type), fixes...)
+}
+
+// maskFix builds the suggested fix that masks the conversion operand to the
+// destination's bits, making the truncation explicit and the finding
+// disappear on the next run. It is offered only for unsigned destinations,
+// where the mask leaves the converted value unchanged; a signed target would
+// need a mask one bit narrower, which changes the value when the sign bit
+// is set.
+func maskFix(arg ast.Expr, bits int) []SuggestedFix {
+	text := fmt.Sprintf(" & %#x", uint64(1)<<bits-1)
+	edits := []TextEdit{{Pos: arg.End(), End: arg.End(), NewText: text}}
+	if _, isBinary := arg.(*ast.BinaryExpr); isBinary {
+		// a+b & mask would bind wrong; parenthesize the operand.
+		edits = []TextEdit{
+			{Pos: arg.Pos(), End: arg.Pos(), NewText: "("},
+			{Pos: arg.End(), End: arg.End(), NewText: ")" + text},
+		}
+	}
+	return []SuggestedFix{{Message: fmt.Sprintf("mask the operand to %d bits", bits), Edits: edits}}
 }
 
 // maxBits conservatively bounds the number of significant bits of e: masks

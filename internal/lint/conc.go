@@ -10,9 +10,9 @@ import (
 )
 
 // This file extends the value-flow IR (graph.go) with concurrency facts: the
-// shared substrate the lockdiscipline, goroutineescape, goroutineleak, and
-// waitgroup analyzers run on. The facts are collected in one deterministic
-// walk over every loaded function body:
+// shared substrate the lockdiscipline and goroutineescape analyzers run on.
+// The facts are collected in one deterministic walk over every loaded
+// function body:
 //
 //   - lock regions: a sequential walk tracks the set of sync.Mutex /
 //     sync.RWMutex objects held at each point. Lock/RLock add to the held
@@ -30,17 +30,11 @@ import (
 //   - spawn sites: every `go` statement, plus closures passed to worker-pool
 //     parameters — a parameter p is a spawn parameter if the callee (or a
 //     transitive callee it forwards p to) executes `go p(...)`. Each spawn
-//     records the closure body and its captured variables (free variables of
-//     the FuncLit, or argument origins for `go f(args)`).
+//     records its captured variables (free variables of the FuncLit, or
+//     argument origins for `go f(args)`).
 //   - field and variable accesses: every struct-field read/write and every
 //     variable write, annotated with the held set, the enclosing function,
 //     and the enclosing spawn (if inside a goroutine body).
-//   - channel operations: send/recv/close sites per channel object, with
-//     select membership; channel objects are merged into alias classes via
-//     union-find over the value-flow edges, so a channel passed into a
-//     helper unifies with the caller's.
-//   - WaitGroup operations: Add/Done/Wait sites per WaitGroup object (alias
-//     classes like channels), with deferred-call and goroutine context.
 //   - struct metadata: per field declaration, the declaring ast.Field, the
 //     owning named type, sibling fields, and any `// guarded by <name>`
 //     annotation on the field's doc or trailing comment.
@@ -169,64 +163,11 @@ type callFact struct {
 	recvObjs []types.Object
 }
 
-type chanOpKind uint8
-
-const (
-	chanSend chanOpKind = iota
-	chanRecv
-	chanClose
-)
-
-// chanOp is one channel operation site.
-type chanOp struct {
-	obj       types.Object
-	kind      chanOpKind
-	pos       token.Pos
-	pkg       *Package
-	fn        *types.Func
-	spawn     int
-	selectPos token.Pos // enclosing select statement, or NoPos
-	selectDef bool      // that select has a default clause
-}
-
-type wgOpKind uint8
-
-const (
-	wgAdd wgOpKind = iota
-	wgDone
-	wgWait
-)
-
-// wgOp is one sync.WaitGroup Add/Done/Wait site.
-type wgOp struct {
-	obj      types.Object
-	kind     wgOpKind
-	pos      token.Pos
-	pkg      *Package
-	fn       *types.Func
-	spawn    int
-	deferred bool      // `defer wg.Done()` or inside a deferred closure
-	body     token.Pos // Pos of the enclosing body block (function or closure)
-}
-
-// retFact is one return statement, keyed by its enclosing body block so the
-// waitgroup analyzer can pair early returns against Done sites.
-type retFact struct {
-	pos   token.Pos
-	pkg   *Package
-	fn    *types.Func
-	spawn int
-	body  token.Pos
-}
-
 // spawnSite is one goroutine creation point.
 type spawnSite struct {
 	id       int
 	fn       *types.Func // the spawning function
-	pkg      *Package
 	pos      token.Pos
-	body     *ast.BlockStmt // closure body for FuncLit spawns; nil for go f()
-	callee   *types.Func    // static callee for `go f(...)`; nil for closures
 	captured []types.Object // free variables / argument origins, position order
 }
 
@@ -241,27 +182,15 @@ type fieldDeclInfo struct {
 }
 
 // concFacts is the complete concurrency-fact database, built once per
-// Program and shared by the four concurrency analyzers.
+// Program and shared by the concurrency analyzers.
 type concFacts struct {
 	spawns    []*spawnSite
 	fields    []fieldAccess
 	varWrites []varWrite
 	calls     []callFact
-	chans     []chanOp
-	wgs       []wgOp
-	rets      []retFact
-	ticks     []struct {
-		pos token.Pos
-		pkg *Package
-	}
 
 	fieldDecl map[*types.Var]*fieldDeclInfo
-	buffered  map[types.Object]bool // channel objects assigned a buffered make
-
 	entryHeld map[*types.Func]lockSet
-
-	// spawnReach memoizes the union of goroutineReach over all spawns.
-	spawnReach map[*types.Func]bool
 
 	// guards is the lockdiscipline inference result, memoized here because
 	// the analyzer runs once per package but the inference is module-global.
@@ -277,7 +206,6 @@ func (p *Program) concurrency() *concFacts {
 	}
 	f := &concFacts{
 		fieldDecl: make(map[*types.Var]*fieldDeclInfo),
-		buffered:  make(map[types.Object]bool),
 		entryHeld: make(map[*types.Func]lockSet),
 	}
 	w := &concWalker{prog: p, facts: f}
@@ -296,7 +224,7 @@ func (p *Program) concurrency() *concFacts {
 				if fn == nil {
 					continue
 				}
-				ctx := &concCtx{fn: fn, spawn: -1, held: lockSet{}, body: fd.Body.Pos()}
+				ctx := &concCtx{fn: fn, spawn: -1, held: lockSet{}}
 				w.stmt(fd.Body, ctx)
 			}
 		}
@@ -391,19 +319,15 @@ func (f *concFacts) computeEntryHeld(p *Program) {
 }
 
 // concCtx is the walk state for one body: the enclosing declared function,
-// the enclosing spawn (goroutine) id, the locally held lock set, whether we
-// are inside a deferred closure, and the Pos of the nearest enclosing body
-// block (for Done/return pairing).
+// the enclosing spawn (goroutine) id, and the locally held lock set.
 type concCtx struct {
-	fn       *types.Func
-	spawn    int
-	held     lockSet
-	deferred bool
-	body     token.Pos
+	fn    *types.Func
+	spawn int
+	held  lockSet
 }
 
 func (c *concCtx) fork() *concCtx {
-	return &concCtx{fn: c.fn, spawn: c.spawn, held: c.held.clone(), deferred: c.deferred, body: c.body}
+	return &concCtx{fn: c.fn, spawn: c.spawn, held: c.held.clone()}
 }
 
 // concWalker drives the fact-collection walk.
@@ -658,7 +582,6 @@ func (w *concWalker) stmt(s ast.Stmt, ctx *concCtx) {
 			}
 		}
 	case *ast.SendStmt:
-		w.chanOpAt(s.Chan, chanSend, s.Chan.Pos(), ctx, token.NoPos, false)
 		w.expr(s.Value, ctx)
 	case *ast.GoStmt:
 		w.spawnFromGo(s, ctx)
@@ -668,9 +591,6 @@ func (w *concWalker) stmt(s ast.Stmt, ctx *concCtx) {
 		for _, r := range s.Results {
 			w.expr(r, ctx)
 		}
-		w.facts.rets = append(w.facts.rets, retFact{
-			pos: s.Pos(), pkg: w.pkg, fn: ctx.fn, spawn: ctx.spawn, body: ctx.body,
-		})
 	case *ast.IfStmt:
 		if s.Init != nil {
 			w.stmt(s.Init, ctx)
@@ -693,11 +613,6 @@ func (w *concWalker) stmt(s ast.Stmt, ctx *concCtx) {
 		}
 		w.stmt(s.Body, inner)
 	case *ast.RangeStmt:
-		if tv, ok := w.pkg.Info.Types[s.X]; ok {
-			if _, isChan := tv.Type.Underlying().(*types.Chan); isChan {
-				w.chanOpAt(s.X, chanRecv, s.X.Pos(), ctx, token.NoPos, false)
-			}
-		}
 		w.expr(s.X, ctx)
 		w.stmt(s.Body, ctx.fork())
 	case *ast.SwitchStmt:
@@ -727,119 +642,56 @@ func (w *concWalker) stmt(s ast.Stmt, ctx *concCtx) {
 			}
 		}
 	case *ast.SelectStmt:
-		hasDefault := false
-		for _, c := range s.Body.List {
-			if cc, ok := c.(*ast.CommClause); ok && cc.Comm == nil {
-				hasDefault = true
-			}
-		}
+		// Each arm is its own scope. Like a bare send, an arm's channel
+		// operand is not walked as a read: a sent value is, and so is the
+		// target a received value is assigned to.
 		for _, c := range s.Body.List {
 			cc, ok := c.(*ast.CommClause)
 			if !ok {
 				continue
 			}
 			inner := ctx.fork()
-			if cc.Comm != nil {
-				w.selectComm(cc.Comm, inner, s.Pos(), hasDefault)
+			switch comm := cc.Comm.(type) {
+			case *ast.SendStmt:
+				w.expr(comm.Value, inner)
+			case *ast.AssignStmt:
+				for _, l := range comm.Lhs {
+					w.writeTarget(l, inner)
+				}
 			}
 			w.stmts(cc.Body, inner)
 		}
 	}
 }
 
-// selectComm records the channel operation of one select arm.
-func (w *concWalker) selectComm(comm ast.Stmt, ctx *concCtx, selPos token.Pos, hasDefault bool) {
-	switch comm := comm.(type) {
-	case *ast.SendStmt:
-		w.chanOpAt(comm.Chan, chanSend, comm.Chan.Pos(), ctx, selPos, hasDefault)
-		w.expr(comm.Value, ctx)
-	case *ast.ExprStmt:
-		if u, ok := ast.Unparen(comm.X).(*ast.UnaryExpr); ok && u.Op == token.ARROW {
-			w.chanOpAt(u.X, chanRecv, u.Pos(), ctx, selPos, hasDefault)
-		}
-	case *ast.AssignStmt:
-		for _, r := range comm.Rhs {
-			if u, ok := ast.Unparen(r).(*ast.UnaryExpr); ok && u.Op == token.ARROW {
-				w.chanOpAt(u.X, chanRecv, u.Pos(), ctx, selPos, hasDefault)
-			}
-		}
-		for _, l := range comm.Lhs {
-			w.writeTarget(l, ctx)
-		}
-	}
-}
-
 // deferStmt handles `defer`: a deferred Unlock keeps the mutex held for the
-// rest of the function; a deferred Done is a correctly paired Done; a
-// deferred closure is walked with a copy of the current held set.
+// rest of the function; a deferred closure is walked with a copy of the
+// current held set.
 func (w *concWalker) deferStmt(s *ast.DeferStmt, ctx *concCtx) {
 	if sel, ok := ast.Unparen(s.Call.Fun).(*ast.SelectorExpr); ok {
-		if kind, target, ok := w.syncCall(sel); ok && target != nil {
-			switch kind {
-			case "Unlock", "RUnlock":
-				return // held to end of function by the walk model
-			case "Done":
-				w.facts.wgs = append(w.facts.wgs, wgOp{
-					obj: target, kind: wgDone, pos: s.Pos(), pkg: w.pkg,
-					fn: ctx.fn, spawn: ctx.spawn, deferred: true, body: ctx.body,
-				})
-				return
-			}
+		if kind, target, ok := w.syncCall(sel); ok && target != nil && (kind == "Unlock" || kind == "RUnlock") {
+			return // held to end of function by the walk model
 		}
 	}
 	if lit, ok := ast.Unparen(s.Call.Fun).(*ast.FuncLit); ok {
-		inner := ctx.fork()
-		inner.deferred = true
-		w.stmt(lit.Body, inner)
+		w.stmt(lit.Body, ctx.fork())
 		for _, arg := range s.Call.Args {
 			w.expr(arg, ctx)
 		}
 		return
 	}
-	// Other deferred calls: record like a normal call, marked deferred for
-	// WaitGroup ops inside helper bodies is not tracked; the call itself is.
+	// Other deferred calls: record like a normal call.
 	w.expr(s.Call, ctx)
 }
 
 // assign records writes for the left-hand sides and reads for everything
-// else, plus buffered-channel make detection.
+// else.
 func (w *concWalker) assign(s *ast.AssignStmt, ctx *concCtx) {
 	for _, rhs := range s.Rhs {
 		w.expr(rhs, ctx)
 	}
-	for i, lhs := range s.Lhs {
+	for _, lhs := range s.Lhs {
 		w.writeTarget(lhs, ctx)
-		if i < len(s.Rhs) {
-			w.noteBufferedMake(lhs, s.Rhs[i])
-		}
-	}
-}
-
-// noteBufferedMake marks ch as buffered for `ch := make(chan T, n)` with a
-// non-zero constant n.
-func (w *concWalker) noteBufferedMake(lhs, rhs ast.Expr) {
-	call, ok := ast.Unparen(rhs).(*ast.CallExpr)
-	if !ok || len(call.Args) < 2 {
-		return
-	}
-	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-	if !ok || id.Name != "make" {
-		return
-	}
-	if _, isBuiltin := w.pkg.Info.Uses[id].(*types.Builtin); !isBuiltin {
-		return
-	}
-	if tv, ok := w.pkg.Info.Types[call.Args[0]]; !ok || tv.Type == nil {
-		return
-	} else if _, isChan := tv.Type.Underlying().(*types.Chan); !isChan {
-		return
-	}
-	n := w.ev.lvalueNode(lhs)
-	if n.obj == nil {
-		return
-	}
-	if v, ok := w.ev.constUintOf(call.Args[1]); ok && v > 0 {
-		w.facts.buffered[n.obj] = true
 	}
 }
 
@@ -891,8 +743,8 @@ func (w *concWalker) writeTarget(lhs ast.Expr, ctx *concCtx) {
 	}
 }
 
-// expr scans an expression for reads, calls, channel ops, and nested
-// closures. Lock/WaitGroup method calls mutate ctx.held / record ops.
+// expr scans an expression for reads, calls, and nested closures. Lock
+// method calls mutate ctx.held.
 func (w *concWalker) expr(e ast.Expr, ctx *concCtx) {
 	if e == nil {
 		return
@@ -914,9 +766,6 @@ func (w *concWalker) expr(e ast.Expr, ctx *concCtx) {
 	case *ast.CallExpr:
 		w.call(x, ctx)
 	case *ast.UnaryExpr:
-		if x.Op == token.ARROW {
-			w.chanOpAt(x.X, chanRecv, x.Pos(), ctx, token.NoPos, false)
-		}
 		w.expr(x.X, ctx)
 	case *ast.BinaryExpr:
 		w.expr(x.X, ctx)
@@ -946,19 +795,16 @@ func (w *concWalker) expr(e ast.Expr, ctx *concCtx) {
 		// A closure not passed to go/defer/worker-pool runs, as far as this
 		// model knows, synchronously: walk it with a copy of the held set so
 		// lock mutations inside do not leak out.
-		inner := ctx.fork()
-		inner.body = x.Body.Pos()
-		w.stmt(x.Body, inner)
+		w.stmt(x.Body, ctx.fork())
 	case *ast.KeyValueExpr:
 		w.expr(x.Key, ctx)
 		w.expr(x.Value, ctx)
 	}
 }
 
-// call classifies a call expression: sync primitive (mutates held / records
-// a WaitGroup op), close/time.Tick builtin, worker-pool spawn argument, or a
-// plain call (records a callFact and binds nothing further here — graph.go
-// already built the value edges).
+// call classifies a call expression: mutex operation (mutates held),
+// builtin, worker-pool spawn argument, or a plain call (records a callFact
+// and binds nothing further here — graph.go already built the value edges).
 func (w *concWalker) call(call *ast.CallExpr, ctx *concCtx) {
 	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok {
 		if kind, target, ok := w.syncCall(sel); ok {
@@ -973,34 +819,12 @@ func (w *concWalker) call(call *ast.CallExpr, ctx *concCtx) {
 				ctx.held.acquire(target, lockRead)
 			case "Unlock", "RUnlock":
 				ctx.held.release(target)
-			case "Add":
-				w.facts.wgs = append(w.facts.wgs, wgOp{
-					obj: target, kind: wgAdd, pos: call.Pos(), pkg: w.pkg,
-					fn: ctx.fn, spawn: ctx.spawn, deferred: ctx.deferred, body: ctx.body,
-				})
-				for _, a := range call.Args {
-					w.expr(a, ctx)
-				}
-			case "Done":
-				w.facts.wgs = append(w.facts.wgs, wgOp{
-					obj: target, kind: wgDone, pos: call.Pos(), pkg: w.pkg,
-					fn: ctx.fn, spawn: ctx.spawn, deferred: ctx.deferred, body: ctx.body,
-				})
-			case "Wait":
-				w.facts.wgs = append(w.facts.wgs, wgOp{
-					obj: target, kind: wgWait, pos: call.Pos(), pkg: w.pkg,
-					fn: ctx.fn, spawn: ctx.spawn, deferred: ctx.deferred, body: ctx.body,
-				})
 			}
 			return
 		}
 	}
-	// close(ch) and time.Tick.
 	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
 		if _, isBuiltin := w.pkg.Info.Uses[id].(*types.Builtin); isBuiltin {
-			if id.Name == "close" && len(call.Args) == 1 {
-				w.chanOpAt(call.Args[0], chanClose, call.Pos(), ctx, token.NoPos, false)
-			}
 			for _, a := range call.Args {
 				w.expr(a, ctx)
 			}
@@ -1009,12 +833,6 @@ func (w *concWalker) call(call *ast.CallExpr, ctx *concCtx) {
 	}
 	callee := w.ev.staticCallee(call)
 	if callee != nil {
-		if callee.Pkg() != nil && callee.Pkg().Path() == "time" && callee.Name() == "Tick" {
-			w.facts.ticks = append(w.facts.ticks, struct {
-				pos token.Pos
-				pkg *Package
-			}{call.Pos(), w.pkg})
-		}
 		cf := callFact{
 			caller: ctx.fn, callee: callee, holds: ctx.held.clone(),
 			spawn: ctx.spawn, pos: call.Pos(),
@@ -1052,12 +870,9 @@ func (w *concWalker) spawnFromGo(s *ast.GoStmt, ctx *concCtx) {
 		return
 	}
 	// go f(args) / go obj.Method(args): captured = argument and receiver
-	// origins; the callee body is walked on its own, and goroutine context
-	// reachability goes through spawn.callee.
-	sp := &spawnSite{
-		id: len(w.facts.spawns), fn: ctx.fn, pkg: w.pkg, pos: s.Pos(),
-		callee: w.ev.staticCallee(s.Call),
-	}
+	// origins; the callee body is walked on its own, and the spawn's call
+	// fact links it to the goroutine.
+	sp := &spawnSite{id: len(w.facts.spawns), fn: ctx.fn, pos: s.Pos()}
 	var objs []types.Object
 	if sel, ok := ast.Unparen(s.Call.Fun).(*ast.SelectorExpr); ok {
 		objs = append(objs, flowObjs(w.ev.origins(sel.X))...)
@@ -1069,21 +884,16 @@ func (w *concWalker) spawnFromGo(s *ast.GoStmt, ctx *concCtx) {
 	sp.captured = dedupObjs(objs)
 	w.facts.spawns = append(w.facts.spawns, sp)
 	w.facts.calls = append(w.facts.calls, callFact{
-		caller: ctx.fn, callee: sp.callee, holds: lockSet{}, spawn: sp.id, pos: s.Pos(),
+		caller: ctx.fn, callee: w.ev.staticCallee(s.Call), holds: lockSet{}, spawn: sp.id, pos: s.Pos(),
 	})
 }
 
 // spawnFromLit records a FuncLit goroutine body and walks it with spawn
-// context: empty held set, the spawn id, the closure body block.
+// context: empty held set and the spawn id.
 func (w *concWalker) spawnFromLit(lit *ast.FuncLit, pos token.Pos, ctx *concCtx) {
-	sp := &spawnSite{
-		id: len(w.facts.spawns), fn: ctx.fn, pkg: w.pkg, pos: pos,
-		body:     lit.Body,
-		captured: w.capturedVars(lit),
-	}
+	sp := &spawnSite{id: len(w.facts.spawns), fn: ctx.fn, pos: pos, captured: w.capturedVars(lit)}
 	w.facts.spawns = append(w.facts.spawns, sp)
-	inner := &concCtx{fn: ctx.fn, spawn: sp.id, held: lockSet{}, body: lit.Body.Pos()}
-	w.stmt(lit.Body, inner)
+	w.stmt(lit.Body, &concCtx{fn: ctx.fn, spawn: sp.id, held: lockSet{}})
 }
 
 // capturedVars collects the free variables of a closure: every variable
@@ -1114,24 +924,8 @@ func (w *concWalker) capturedVars(lit *ast.FuncLit) []types.Object {
 	return out
 }
 
-// chanOpAt records one channel operation, resolving the channel expression
-// to an object (ident or field selector).
-func (w *concWalker) chanOpAt(ch ast.Expr, kind chanOpKind, pos token.Pos, ctx *concCtx, selPos token.Pos, selDef bool) {
-	obj := exprObj(w.pkg, ch)
-	if obj == nil {
-		return
-	}
-	if _, isChan := obj.Type().Underlying().(*types.Chan); !isChan {
-		return
-	}
-	w.facts.chans = append(w.facts.chans, chanOp{
-		obj: obj, kind: kind, pos: pos, pkg: w.pkg, fn: ctx.fn, spawn: ctx.spawn,
-		selectPos: selPos, selectDef: selDef,
-	})
-}
-
-// syncCall classifies sel as a method call on a sync.Mutex / sync.RWMutex /
-// sync.WaitGroup and resolves the receiver to its declaring object. The
+// syncCall classifies sel as a method call on a sync.Mutex / sync.RWMutex
+// and resolves the receiver to its declaring object. The
 // bool result reports "this is a sync call" even when the receiver object
 // cannot be resolved (target nil), so callers skip held mutation but also
 // do not record a spurious callFact.
@@ -1152,11 +946,6 @@ func (w *concWalker) syncCall(sel *ast.SelectorExpr) (kind string, target types.
 			if fn.Name() == "TryLock" || fn.Name() == "TryRLock" {
 				return fn.Name(), nil, true // unmodeled; don't track
 			}
-			return fn.Name(), w.syncTarget(sel), true
-		}
-	case "WaitGroup":
-		switch fn.Name() {
-		case "Add", "Done", "Wait":
 			return fn.Name(), w.syncTarget(sel), true
 		}
 	}
@@ -1260,114 +1049,4 @@ func dedupObjs(objs []types.Object) []types.Object {
 		}
 	}
 	return out
-}
-
-// --- derived views shared by the analyzers -----------------------------------
-
-// goroutineReach returns the set of functions reachable from the spawn's
-// body: the direct callees recorded inside the closure (or the named callee
-// for `go f()`), closed over the static call graph.
-func (f *concFacts) goroutineReach(p *Program, sp *spawnSite) map[*types.Func]bool {
-	reach := make(map[*types.Func]bool)
-	var frontier []*types.Func
-	add := func(fn *types.Func) {
-		if fn != nil && !reach[fn] {
-			reach[fn] = true
-			frontier = append(frontier, fn)
-		}
-	}
-	if sp.callee != nil {
-		add(sp.callee)
-	}
-	for _, cf := range f.calls {
-		if cf.spawn == sp.id {
-			add(cf.callee)
-		}
-	}
-	for len(frontier) > 0 {
-		fn := frontier[0]
-		frontier = frontier[1:]
-		for callee := range p.callees[fn] { // set closure: order-independent
-			add(callee)
-		}
-	}
-	return reach
-}
-
-// unionFind is a tiny disjoint-set over objects, used for channel and
-// WaitGroup alias classes.
-type unionFind struct {
-	parent map[types.Object]types.Object
-}
-
-func newUnionFind() *unionFind {
-	return &unionFind{parent: make(map[types.Object]types.Object)}
-}
-
-func (u *unionFind) find(o types.Object) types.Object {
-	p, ok := u.parent[o]
-	if !ok {
-		u.parent[o] = o
-		return o
-	}
-	if p == o {
-		return o
-	}
-	r := u.find(p)
-	u.parent[o] = r
-	return r
-}
-
-// union merges the classes of a and b deterministically (the representative
-// with the smaller Pos wins), so class representatives are stable across
-// runs regardless of merge order.
-func (u *unionFind) union(a, b types.Object) {
-	ra, rb := u.find(a), u.find(b)
-	if ra == rb {
-		return
-	}
-	if rb.Pos() < ra.Pos() {
-		ra, rb = rb, ra
-	}
-	u.parent[rb] = ra
-}
-
-// aliasClasses builds the union-find for objects satisfying isKind, merging
-// along every value-flow edge connecting two such objects.
-func (f *concFacts) aliasClasses(p *Program, isKind func(types.Object) bool) *unionFind {
-	u := newUnionFind()
-	for from, edges := range p.edges { // partition is merge-order independent
-		if from.obj == nil || !isKind(from.obj) {
-			continue
-		}
-		for _, e := range edges {
-			if e.to.obj != nil && isKind(e.to.obj) {
-				u.union(from.obj, e.to.obj)
-			}
-		}
-	}
-	return u
-}
-
-// isChanObj reports whether o is channel-typed.
-func isChanObj(o types.Object) bool {
-	if o == nil || o.Type() == nil {
-		return false
-	}
-	_, ok := o.Type().Underlying().(*types.Chan)
-	return ok
-}
-
-// isWaitGroupObj reports whether o is a sync.WaitGroup (possibly through a
-// pointer).
-func isWaitGroupObj(o types.Object) bool {
-	if o == nil || o.Type() == nil {
-		return false
-	}
-	t := o.Type()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	n, ok := t.(*types.Named)
-	return ok && n.Obj().Pkg() != nil && n.Obj().Pkg().Path() == "sync" && n.Obj().Name() == "WaitGroup"
 }

@@ -172,60 +172,6 @@ func TestCallHolds(t *testing.T) {
 	}
 }
 
-// TestWaitGroupAliasPairing pins union-find over value-flow edges: the
-// WaitGroup in HelperDone and the *sync.WaitGroup parameter of worker are
-// one alias class, so the helper's Done pairs with the caller's Add.
-func TestWaitGroupAliasPairing(t *testing.T) {
-	p, f := concFactsFor(t)
-	u := f.aliasClasses(p, isWaitGroupObj)
-
-	var addObj, doneObj types.Object
-	for _, op := range f.wgs {
-		if op.fn == nil {
-			continue
-		}
-		switch {
-		case op.fn.FullName() == "waitgroup.HelperDone" && op.kind == wgAdd:
-			addObj = op.obj
-		case op.fn.FullName() == "waitgroup.worker" && op.kind == wgDone:
-			doneObj = op.obj
-		}
-	}
-	if addObj == nil || doneObj == nil {
-		t.Fatalf("missing wg ops: add=%v done=%v", addObj, doneObj)
-	}
-	if u.find(addObj) != u.find(doneObj) {
-		t.Error("HelperDone's WaitGroup and worker's parameter should share an alias class")
-	}
-}
-
-// TestChanAliasPairing pins the same unification for channels: the channel
-// made in Paired and the parameter of produce are one class, so the helper's
-// send matches the caller's receive.
-func TestChanAliasPairing(t *testing.T) {
-	p, f := concFactsFor(t)
-	u := f.aliasClasses(p, isChanObj)
-
-	var sendObj, recvObj types.Object
-	for _, op := range f.chans {
-		if op.fn == nil {
-			continue
-		}
-		switch {
-		case op.fn.FullName() == "goroutineleak.produce" && op.kind == chanSend:
-			sendObj = op.obj
-		case op.fn.FullName() == "goroutineleak.Paired" && op.kind == chanRecv:
-			recvObj = op.obj
-		}
-	}
-	if sendObj == nil || recvObj == nil {
-		t.Fatalf("missing chan ops: send=%v recv=%v", sendObj, recvObj)
-	}
-	if u.find(sendObj) != u.find(recvObj) {
-		t.Error("Paired's channel and produce's parameter should share an alias class")
-	}
-}
-
 // TestGuardAnnotationResolution pins declaration-side parsing: Ledger.total
 // carries `// guarded by mu` and resolves to the sibling mutex field.
 func TestGuardAnnotationResolution(t *testing.T) {

@@ -43,13 +43,13 @@ import (
 type domain uint16
 
 const (
-	domLine domain = 1 << iota // logical (pre-map) line address
-	domPhys                    // physical (randomized) line index
-	domRow                     // DRAM global-row coordinate
-	domCipher                  // K-Cipher ciphertext
-	domNs                      // wall-clock nanoseconds (float64 sim time)
-	domCycle                   // DRAM/CPU clock cycles
-	domRefresh                 // refresh-window counts (epochs)
+	domLine    domain = 1 << iota // logical (pre-map) line address
+	domPhys                       // physical (randomized) line index
+	domRow                        // DRAM global-row coordinate
+	domCipher                     // K-Cipher ciphertext
+	domNs                         // wall-clock nanoseconds (float64 sim time)
+	domCycle                      // DRAM/CPU clock cycles
+	domRefresh                    // refresh-window counts (epochs)
 )
 
 // addrFamily and unitFamily partition the tracked domains.
@@ -251,8 +251,8 @@ type funcDomains struct {
 
 // addrFuncPins is the signature pin table keyed by function/method name.
 // Matching is by name within the address-domain packages (addrDomainPkgs),
-// mirroring how addrwidth seeds its sources: the same table covers the real
-// module and the flat golden-testdata layout.
+// so the same table covers the real module and the flat golden-testdata
+// layout.
 var addrFuncPins = map[string]funcDomains{
 	"Map":          {params: map[int]domain{0: domLine}, results: map[int]domain{0: domPhys}},
 	"Unmap":        {params: map[int]domain{0: domPhys}, results: map[int]domain{0: domLine}},

@@ -82,11 +82,11 @@ func lookupFunc(t *testing.T, p *Program, pkgPath, name string) *types.Func {
 	return fn
 }
 
-// TestTransferSummary pins the per-function digest: addrwidth.shift drops
+// TestTransferSummary pins the per-function digest: bitwidth.shift drops
 // three bits from parameter 0 to result 0.
 func TestTransferSummary(t *testing.T) {
 	p := loadTestProgram(t)
-	shift := lookupFunc(t, p, "addrwidth", "shift")
+	shift := lookupFunc(t, p, "bitwidth", "shift")
 	sum := p.Summary(shift)
 	tf, ok := sum[0][0]
 	if !ok {
@@ -109,7 +109,7 @@ func TestTransferSummary(t *testing.T) {
 // callees (resolved to the interface method object).
 func TestCallGraph(t *testing.T) {
 	p := loadTestProgram(t)
-	indirect := lookupFunc(t, p, "addrwidth", "Indirect")
+	indirect := lookupFunc(t, p, "bitwidth", "Indirect")
 	var names []string
 	for _, c := range p.Callees(indirect) {
 		names = append(names, c.FullName())
@@ -121,8 +121,8 @@ func TestCallGraph(t *testing.T) {
 	if !want["(mapping.Mapper).Map"] {
 		t.Errorf("Callees(Indirect) = %v, missing interface method (mapping.Mapper).Map", names)
 	}
-	if !want["addrwidth.shift"] {
-		t.Errorf("Callees(Indirect) = %v, missing addrwidth.shift", names)
+	if !want["bitwidth.shift"] {
+		t.Errorf("Callees(Indirect) = %v, missing bitwidth.shift", names)
 	}
 }
 

@@ -7,8 +7,8 @@ import (
 	"sort"
 )
 
-// This file builds the interprocedural value-flow IR the dataflow analyzers
-// (observereffect, addrwidth) run on. The IR is a graph over abstract value
+// This file builds the interprocedural value-flow IR every analyzer with
+// NeedsProgram runs on. The IR is a graph over abstract value
 // nodes:
 //
 //   - one node per named value object (locals, parameters, package variables,

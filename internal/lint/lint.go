@@ -5,18 +5,17 @@
 //   - determinism: simulation packages must not consult wall-clock time,
 //     math/rand, mutable package-level state, or unordered map iteration —
 //     the "same seeds ⇒ same activations" replay contract of internal/rng.
-//   - bitwidth / addrwidth: line/row address arithmetic must not silently
-//     truncate — shifts past the operand width, masks wider than the
-//     line-address domain, and unguarded narrowing conversions are flagged,
-//     locally and through the value-flow graph.
+//   - bitwidth: line/row address arithmetic must not silently truncate —
+//     shifts past the operand width, masks wider than the 40-bit
+//     line-address domain, and unguarded narrowing conversions are flagged.
 //   - seedflow: every RNG must be seeded from configuration, never from a
 //     literal constant, so experiments stay reseedable.
 //   - panicpolicy: library packages return errors instead of panicking,
 //     except documented programmer-error invariant guards.
 //   - observereffect / errdiscard: metrics reads must not feed back into
 //     simulation state, and module-internal errors must be handled.
-//   - lockdiscipline, goroutineescape, goroutineleak, waitgroup: the
-//     concurrency-safety gates over the shared concurrency-facts layer.
+//   - lockdiscipline, goroutineescape: the concurrency-safety gates over
+//     the shared concurrency-facts layer.
 //   - addrspace / unitflow: values live in one address domain
 //     (line/phys/row/cipher) or time unit (ns/cycle/refresh) and may only
 //     change domain through a declared converter (see domain.go).
@@ -50,10 +49,6 @@ import (
 type Analyzer struct {
 	// Name is the analyzer identifier used in reports and allow directives.
 	Name string
-	// AltAllow lists additional allow-directive names honored for this
-	// analyzer's findings (addrwidth accepts bitwidth directives, since it
-	// subsumes that pass's narrowing check).
-	AltAllow []string
 	// Doc is a one-paragraph description of what the analyzer enforces.
 	Doc string
 	// NeedsProgram requests the whole-module value-flow Program on the pass
@@ -122,8 +117,7 @@ func (p *Pass) TypeOf(e ast.Expr) types.Type {
 func All() []*Analyzer {
 	return []*Analyzer{
 		Determinism, Bitwidth, Seedflow, Panicpolicy,
-		ObserverEffect, AddrWidth, ErrDiscard,
-		LockDiscipline, GoroutineEscape, GoroutineLeak, WaitGroup,
+		ObserverEffect, ErrDiscard, LockDiscipline, GoroutineEscape,
 		AddrSpace, UnitFlow, HotAlloc,
 	}
 }
@@ -175,13 +169,10 @@ var analyzerScope = map[string]scopeClass{
 	"errdiscard":      scopeAll,
 	"lockdiscipline":  scopeAll,
 	"goroutineescape": scopeAll,
-	"goroutineleak":   scopeAll,
-	"waitgroup":       scopeAll,
 	"panicpolicy":     scopeInternal,
 	"observereffect":  scopeSimNoMetrics,
 	"determinism":     scopeSim,
 	"bitwidth":        scopeSim,
-	"addrwidth":       scopeSim,
 	"addrspace":       scopeSim,
 	"unitflow":        scopeSim,
 	"hotalloc":        scopeSim,
@@ -281,14 +272,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer, scope Scope) ([]Diagnostic, err
 		}
 		allows := collectAllows(pkg)
 		for _, d := range raw {
-			a, _ := ByName(d.Analyzer)
-			suppressed := allows.covers(d.Analyzer, d.Pos)
-			if a != nil {
-				for _, alt := range a.AltAllow {
-					suppressed = suppressed || allows.covers(alt, d.Pos)
-				}
-			}
-			if !suppressed {
+			if !allows.covers(d.Analyzer, d.Pos) {
 				diags = append(diags, d)
 			}
 		}
@@ -336,36 +320,15 @@ func (f AuditFinding) String() string {
 // analyzer produces no finding on the guarded lines), guards missing the
 // mandatory justification, and guards naming analyzers that do not exist. A
 // directive at line L covers findings at L and L+1, so a guard is live if a
-// raw finding of an accepted name lands on either line.
+// raw finding of the named analyzer lands on either line.
 func AuditAllows(pkgs []*Package, analyzers []*Analyzer, scope Scope) ([]AuditFinding, error) {
-	// acceptedAs maps each allow-directive name to the analyzer names whose
-	// findings it suppresses (itself, plus analyzers listing it in AltAllow).
 	// Liveness is judged only against the analyzers actually being run;
 	// spelling validity is judged against the full registry, so auditing a
 	// -only subset neither flags real-but-unselected names as unknown nor
 	// declares their guards stale.
-	acceptedAs := make(map[string]map[string]bool)
 	selected := make(map[string]bool)
 	for _, a := range analyzers {
 		selected[a.Name] = true
-		if acceptedAs[a.Name] == nil {
-			acceptedAs[a.Name] = make(map[string]bool)
-		}
-		acceptedAs[a.Name][a.Name] = true
-		for _, alt := range a.AltAllow {
-			if acceptedAs[alt] == nil {
-				acceptedAs[alt] = make(map[string]bool)
-			}
-			acceptedAs[alt][a.Name] = true
-			selected[alt] = true
-		}
-	}
-	known := make(map[string]bool)
-	for _, a := range All() {
-		known[a.Name] = true
-		for _, alt := range a.AltAllow {
-			known[alt] = true
-		}
 	}
 
 	var out []AuditFinding
@@ -389,17 +352,12 @@ func AuditAllows(pkgs []*Package, analyzers []*Analyzer, scope Scope) ([]AuditFi
 		if err != nil {
 			return nil, err
 		}
-		// live[analyzer][file:line] marks directive lines a raw finding keeps
-		// alive (the finding's own line and the line above it).
-		live := make(map[string]map[allowKey]bool)
+		// live marks directive lines a raw finding keeps alive (the
+		// finding's own line and the line above it).
+		live := make(allowSet)
 		for _, d := range raw {
-			m := live[d.Analyzer]
-			if m == nil {
-				m = make(map[allowKey]bool)
-				live[d.Analyzer] = m
-			}
-			m[allowKey{d.Analyzer, d.Pos.Filename, d.Pos.Line}] = true
-			m[allowKey{d.Analyzer, d.Pos.Filename, d.Pos.Line - 1}] = true
+			live[allowKey{d.Analyzer, d.Pos.Filename, d.Pos.Line}] = true
+			live[allowKey{d.Analyzer, d.Pos.Filename, d.Pos.Line - 1}] = true
 		}
 		for _, dir := range collectAllowDirectives(pkg) {
 			if strings.TrimSpace(dir.Justification) == "" {
@@ -407,20 +365,14 @@ func AuditAllows(pkgs []*Package, analyzers []*Analyzer, scope Scope) ([]AuditFi
 				continue
 			}
 			for _, name := range dir.Names {
-				if !known[name] {
+				if _, known := ByName(name); !known {
 					out = append(out, AuditFinding{Directive: dir, Kind: "unknown-analyzer", Name: name})
 					continue
 				}
 				if !selected[name] {
 					continue // registered analyzer, not in this run: liveness unknowable
 				}
-				alive := false
-				for analyzer := range acceptedAs[name] { // tiny set; result order-free
-					if live[analyzer][allowKey{analyzer, dir.Pos.Filename, dir.Pos.Line}] {
-						alive = true
-					}
-				}
-				if !alive {
+				if !live.covers(name, dir.Pos) {
 					out = append(out, AuditFinding{Directive: dir, Kind: "stale", Name: name})
 				}
 			}

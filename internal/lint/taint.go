@@ -9,8 +9,8 @@ import (
 )
 
 // Source seeds the taint engine: the abstract node the taint enters at, the
-// bit bound it carries there (for addrwidth; observereffect uses 64), and a
-// human-readable description used in diagnostics.
+// bit bound it carries there, and a human-readable description used in
+// diagnostics.
 type Source struct {
 	n     node
 	bound int
@@ -200,15 +200,6 @@ var statePkgs = map[string]bool{
 
 // isStatePkg reports whether path holds simulation state.
 func isStatePkg(path string) bool { return statePkgs[pkgBase(path)] }
-
-// addrSourcePkgs are the packages whose address-named values seed the
-// addrwidth taint: the line/row arithmetic lives here.
-var addrSourcePkgs = map[string]bool{
-	"mapping": true, "kcipher": true, "dram": true, "core": true,
-}
-
-// isAddrSourcePkg reports whether path defines address values.
-func isAddrSourcePkg(path string) bool { return addrSourcePkgs[pkgBase(path)] }
 
 // declaredIn reports whether a type's named form is declared in a package
 // satisfying the classifier (unwrapping pointers and slices).

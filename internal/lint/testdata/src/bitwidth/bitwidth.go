@@ -34,6 +34,12 @@ func NarrowUnguarded(line uint64) uint32 {
 	return uint32(line) // want "narrowing conversion from 64-bit uint64 to 32-bit uint32"
 }
 
+// NarrowSum narrows a compound operand, which the mask fix parenthesizes:
+// flagged.
+func NarrowSum(base, off uint64) uint32 {
+	return uint32(base + off) // want "narrowing conversion from 64-bit uint64 to 32-bit uint32"
+}
+
 // NarrowMasked provably fits: allowed.
 func NarrowMasked(line uint64) uint32 {
 	return uint32(line & 0xFFFF_FFFF)

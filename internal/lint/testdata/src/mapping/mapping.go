@@ -1,6 +1,6 @@
 // Package mapping is a miniature of the real address-mapping package: the
-// addrwidth analyzer seeds its address-named values and Map/Unmap results
-// with the 40-bit address bound.
+// bitwidth and addrspace fixtures translate addresses through its Map and
+// Unmap.
 package mapping
 
 // Mapper maps line addresses.

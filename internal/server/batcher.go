@@ -153,7 +153,9 @@ func (b *Batcher) loop() {
 // waiting requests. Duplicate specs collapse to a single executor entry;
 // every requester of that spec receives the same outcome.
 func (b *Batcher) dispatch(batch []request) {
-	//lint:allow waitgroup Add IS in the spawning function before the go statement; dispatch runs on the collection goroutine, which Close joins via loopDone before calling flights.Wait
+	// Add runs in the spawning function, before the go statement: dispatch
+	// runs on the collection goroutine, which Close joins via loopDone
+	// before calling flights.Wait.
 	b.flights.Add(1)
 	go func() {
 		defer b.flights.Done()
@@ -171,7 +173,9 @@ func (b *Batcher) dispatch(batch []request) {
 			if !ok {
 				out = RunOutcome{Err: fmt.Errorf("server: executor returned no outcome for %s", r.spec)}
 			}
-			//lint:allow goroutineleak resp is made with capacity 1 in Submit and receives exactly one send, so delivery never blocks even if the requester departed
+			// resp is made with capacity 1 in Submit and receives exactly
+			// one send, so delivery never blocks even if the requester
+			// departed.
 			r.resp <- out
 		}
 	}()

@@ -3,6 +3,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -159,6 +160,7 @@ func TestBatcherDedupe(t *testing.T) {
 // TestBatcherCloseDrains: Close flushes queued requests, waits for in-flight
 // batches, and rejects later Submits.
 func TestBatcherCloseDrains(t *testing.T) {
+	base := runtime.NumGoroutine()
 	release := make(chan struct{})
 	exec := &recordingExec{block: release}
 	b, err := NewBatcher(1, time.Hour, exec.exec)
@@ -199,11 +201,32 @@ func TestBatcherCloseDrains(t *testing.T) {
 		t.Fatalf("Submit after Close = %v, want ErrClosed", err)
 	}
 	b.Close() // second Close is a no-op
+	settleGoroutines(t, base)
+}
+
+// settleGoroutines fails the test unless the goroutine count falls back to
+// base within two seconds. Run it after the code under test has been shut
+// down: a goroutine still running then has leaked.
+func settleGoroutines(t *testing.T, base int) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		n := runtime.NumGoroutine()
+		if n <= base {
+			return
+		}
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines still running, %d before the test:\n%s", n, base, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
 }
 
 // TestBatcherQueuedFlushOnClose: requests still waiting for the size or
 // wait trigger are flushed by Close, not dropped.
 func TestBatcherQueuedFlushOnClose(t *testing.T) {
+	base := runtime.NumGoroutine()
 	exec := &recordingExec{}
 	b, err := NewBatcher(100, time.Hour, exec.exec)
 	if err != nil {
@@ -231,6 +254,7 @@ func TestBatcherQueuedFlushOnClose(t *testing.T) {
 	if sizes := exec.batchSizes(); len(sizes) != 1 || sizes[0] != 3 {
 		t.Fatalf("batch sizes = %v, want [3]", sizes)
 	}
+	settleGoroutines(t, base)
 }
 
 // TestBatcherMissingOutcome: an executor that loses a spec yields an error

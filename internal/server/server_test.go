@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -343,6 +344,7 @@ func TestStartBindFailure(t *testing.T) {
 // TestShutdownDrainsInFlight: a request accepted before Shutdown finishes
 // with a full response; the serve loop then reports ErrServerClosed.
 func TestShutdownDrainsInFlight(t *testing.T) {
+	base := runtime.NumGoroutine()
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	handler := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -388,4 +390,5 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 	if err := <-errc; err != http.ErrServerClosed {
 		t.Fatalf("serve loop exit: %v", err)
 	}
+	settleGoroutines(t, base)
 }

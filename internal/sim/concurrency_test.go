@@ -2,8 +2,10 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 )
 
 // renderResult formats everything observable about a run into one string so
@@ -22,6 +24,7 @@ func renderResult(r *Result) string {
 // access in the cache or the per-entry once. Every caller must get the same
 // cached *Result for a given key.
 func TestPrefetchConcurrent(t *testing.T) {
+	base := runtime.NumGoroutine()
 	s := NewSuite(Options{Scale: 0.004, Workloads: []string{"mcf", "xz"}, Mixes: []int{}, Seed: 17})
 	specs := []RunSpec{
 		{"mcf", "coffeelake", "none", 1000, false},
@@ -32,6 +35,7 @@ func TestPrefetchConcurrent(t *testing.T) {
 	if err := s.Prefetch(specs); err != nil {
 		t.Fatal(err)
 	}
+	settleGoroutines(t, base)
 
 	// Race direct Run calls over the (now warm) cache plus one cold spec, with
 	// parallelism strictly greater than one regardless of GOMAXPROCS.
@@ -84,5 +88,24 @@ func TestDeterministicReplayBytes(t *testing.T) {
 	a, b := run(), run()
 	if a != b {
 		t.Errorf("identical seeds produced different stats:\n run 1: %s\n run 2: %s", a, b)
+	}
+}
+
+// settleGoroutines fails the test unless the goroutine count falls back to
+// base within two seconds. Run it after the code under test has been shut
+// down: a goroutine still running then has leaked.
+func settleGoroutines(t *testing.T, base int) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		n := runtime.NumGoroutine()
+		if n <= base {
+			return
+		}
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines still running, %d before the test:\n%s", n, base, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

@@ -259,3 +259,41 @@ func TestEntryFormatGolden(t *testing.T) {
 		t.Fatalf("entry envelope changed:\n got: %q\nwant: %q\n(bump the format version and regenerate)", raw, want)
 	}
 }
+
+// FuzzStoreEntry feeds arbitrary bytes to the entry decoder. It must not
+// panic; it may accept an entry only when the header carries the SHA-256 of
+// the payload that follows it; and an accepted payload written with Put
+// must come back from Get byte-identical.
+func FuzzStoreEntry(f *testing.F) {
+	payload := []byte(`{"mean_ipc":1.25}`)
+	sum := sha256.Sum256(payload)
+	valid := append([]byte(formatHeader+hex.EncodeToString(sum[:])+"\n"), payload...)
+	f.Add(valid)
+	f.Add(valid[:len(valid)-1])
+	f.Add([]byte(formatHeader + "\n"))
+	f.Add([]byte("rubixstore v0 " + hex.EncodeToString(sum[:]) + "\n"))
+	f.Add([]byte{})
+
+	s, err := Open(f.TempDir())
+	if err != nil {
+		f.Fatal(err)
+	}
+	key := keyOf("fuzz")
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		got, ok := decodeEntry(raw)
+		if !ok {
+			return
+		}
+		header, body, _ := bytes.Cut(raw, []byte("\n"))
+		sum := sha256.Sum256(body)
+		if string(header) != formatHeader+hex.EncodeToString(sum[:]) || !bytes.Equal(got, body) {
+			t.Fatalf("accepted entry whose header %q does not carry the payload's SHA-256", header)
+		}
+		if err := s.Put(key, got); err != nil {
+			t.Fatal(err)
+		}
+		if back, ok := s.Get(key); !ok || !bytes.Equal(back, got) {
+			t.Fatalf("Put/Get round trip = (%q, %v), want (%q, true)", back, ok, got)
+		}
+	})
+}

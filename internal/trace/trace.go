@@ -105,7 +105,9 @@ func Record(w io.Writer, gen workload.Generator, n int) error {
 // Reader replays a trace as a workload.Generator. When the trace is
 // exhausted it rewinds transparently if the source supports seeking,
 // otherwise it keeps replaying the last access (a finite simulation should
-// size its instruction budget to the trace length).
+// size its instruction budget to the trace length). A trace with no
+// complete record has nothing to rewind to: it ends after the first rewind,
+// the same as an exhausted unseekable source.
 type Reader struct {
 	name    string
 	src     io.Reader
@@ -113,7 +115,6 @@ type Reader struct {
 	seeker  io.Seeker
 	line    uint64
 	inBurst bool
-	next    *record
 	n       uint64
 	wrapped bool
 }
@@ -166,29 +167,32 @@ func (t *Reader) Name() string { return t.name }
 
 // Next implements workload.Generator.
 func (t *Reader) Next() uint64 {
-	if t.next != nil {
-		t.line, t.inBurst = t.next.line, t.next.inBurst
-		t.next = nil
-		t.n++
-		return t.line
-	}
 	rec, err := t.read()
-	if err != nil {
-		if t.seeker != nil {
-			if _, serr := t.seeker.Seek(0, io.SeekStart); serr == nil {
-				if serr := t.start(); serr == nil {
-					t.wrapped = true
-					return t.Next()
-				}
-			}
+	if err != nil && t.rewind() {
+		if rec, err = t.read(); err != nil {
+			t.seeker = nil // no complete record: the trace ends here
 		}
-		// Exhausted, unseekable: repeat the last access.
+	}
+	if err != nil {
+		// Exhausted: repeat the last access.
 		t.inBurst = false
 		return t.line
 	}
 	t.line, t.inBurst = rec.line, rec.inBurst
 	t.n++
 	return t.line
+}
+
+// rewind restarts a seekable source at its header, reporting success.
+func (t *Reader) rewind() bool {
+	if t.seeker == nil {
+		return false
+	}
+	if _, err := t.seeker.Seek(0, io.SeekStart); err != nil || t.start() != nil {
+		return false
+	}
+	t.wrapped = true
+	return true
 }
 
 // InBurst implements workload.Generator: the recorded burst flag.

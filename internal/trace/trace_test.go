@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"io"
+	"runtime/debug"
 	"testing"
 
 	"rubix/internal/workload"
@@ -141,4 +142,62 @@ func TestEmptyTraceHasHeader(t *testing.T) {
 	if _, err := NewReader("empty", bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatalf("empty trace unreadable: %v", err)
 	}
+}
+
+// TestRecordlessSeekableTraceEnds pins that a seekable trace with a valid
+// header and no complete record ends instead of rewinding forever: Next
+// returns the zero access, Wrapped reports the one fruitless rewind, and
+// nothing is replayed. The stack cap turns a rewind loop into a prompt
+// fatal error rather than a gigabyte of stack.
+func TestRecordlessSeekableTraceEnds(t *testing.T) {
+	defer debug.SetMaxStack(debug.SetMaxStack(1 << 20))
+	var header bytes.Buffer
+	if err := NewWriter(&header).Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for _, tail := range [][]byte{nil, {flagInBurst, 1, 2, 3}} {
+		src := append(append([]byte(nil), header.Bytes()...), tail...)
+		r, err := NewReader("empty", bytes.NewReader(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ {
+			if got := r.Next(); got != 0 || r.InBurst() {
+				t.Fatalf("tail %v, access %d: got (%d, %v), want (0, false)", tail, i, got, r.InBurst())
+			}
+		}
+		if !r.Wrapped() || r.Replayed() != 0 {
+			t.Fatalf("tail %v: wrapped = %v, replayed = %d; want true, 0", tail, r.Wrapped(), r.Replayed())
+		}
+	}
+}
+
+// FuzzTraceReader feeds arbitrary bytes through a seekable source: NewReader
+// either rejects them or Next runs without a panic, and the reader never
+// replays more records than the source holds before it wraps.
+func FuzzTraceReader(f *testing.F) {
+	var buf bytes.Buffer
+	if err := Record(&buf, must(workload.NewStream(40, 4)), 3); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add(buf.Bytes()[:5])
+	f.Add(buf.Bytes()[:12])
+	f.Add([]byte("NOPE!"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r, err := NewReader("fuzz", bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		records := uint64(len(data)-5) / 9
+		for i := 0; i < 64; i++ {
+			r.Next()
+			if !r.Wrapped() && r.Replayed() > records {
+				t.Fatalf("replayed %d records from a %d-record source", r.Replayed(), records)
+			}
+		}
+		if records == 0 && r.Replayed() != 0 {
+			t.Fatalf("replayed %d records from a record-less source", r.Replayed())
+		}
+	})
 }

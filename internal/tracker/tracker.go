@@ -42,7 +42,9 @@ type Counting interface {
 
 // MisraGries is a heavy-hitters activation tracker with a bounded number of
 // entries. The classic decrement-all step is implemented with a global
-// floor so each operation is O(1) amortized.
+// floor. An operation is O(1) while the table has room, or when the row is
+// already tracked; once the table is full, every untracked row costs a
+// decrement-all walk over all capacity entries.
 type MisraGries struct {
 	threshold uint32
 	capacity  int
