@@ -13,17 +13,18 @@ test:
 race:
 	go test -race ./...
 
-# The concurrency hammer mirror of CI's race matrix: the packages where the
-# mutexes live, twice, so interleavings get a second roll of the dice.
+# The concurrency hammer mirror of CI's race matrix: the concurrency-exercised
+# packages (sim, metrics, check, and the batcher and HTTP server), twice, so
+# interleavings get a second roll of the dice.
 race-concurrency:
-	go test -race -count=2 ./internal/sim/... ./internal/metrics/... ./internal/check/...
+	go test -race -count=2 ./internal/sim/... ./internal/metrics/... ./internal/check/... ./internal/server/...
 
 # The full local gate: vet plus the project invariants suite (determinism,
 # bitwidth, seedflow, panicpolicy, observereffect, errdiscard,
-# lockdiscipline, goroutineescape, and the domain/unit analyzers addrspace,
-# unitflow, hotalloc — see internal/lint). rubixlint -fix applies the
-# suite's suggested fixes, including the addrspace `// addr:` annotation
-# and the bitwidth narrowing-mask autofixes.
+# lockdiscipline, goroutineescape, and hotalloc — see internal/lint).
+# rubixlint -fix applies the suite's suggested fixes: the bitwidth
+# narrowing mask, errdiscard's check-and-return, and lockdiscipline's
+# `// guarded by` annotation.
 lint:
 	go vet ./...
 	go run ./cmd/rubixlint ./...
@@ -37,8 +38,9 @@ lint-audit:
 ci: build test race lint lint-audit
 
 # Fuzz smoke: every fuzz target for 15 s — the row table against a Go map,
-# the Result decoder, the store entry decoder and the trace reader on
-# arbitrary bytes, and the K-Cipher round trip.
+# the Result decoder, the store entry decoder, the trace reader and
+# rubixd's RunSpec/batch request decoding on arbitrary bytes, and the
+# K-Cipher round trip.
 # `go test -fuzz` takes one package and one target per run; plain `go test`
 # replays only the seed corpora.
 fuzz:
@@ -47,6 +49,7 @@ fuzz:
 	go test ./internal/kcipher -run '^$$' -fuzz '^FuzzKCipherRoundTrip$$' -fuzztime 15s
 	go test ./internal/store -run '^$$' -fuzz '^FuzzStoreEntry$$' -fuzztime 15s
 	go test ./internal/trace -run '^$$' -fuzz '^FuzzTraceReader$$' -fuzztime 15s
+	go test ./internal/server -run '^$$' -fuzz '^FuzzRunSpec$$' -fuzztime 15s
 
 # Refresh the committed benchmark baseline for the sim hot path
 # (mapping/cipher/DRAM/core micro-benchmarks plus the end-to-end run).

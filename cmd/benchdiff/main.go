@@ -11,7 +11,9 @@
 // on only one side are reported but never fail the gate, so adding a
 // benchmark does not require regenerating the baseline in the same change.
 // A run in which no fresh result matches any baseline row fails, since it
-// compared nothing.
+// compared nothing. Both documents' hosts are printed first, with a warning
+// when they differ: ns/op and bytes/op from two machines compare loosely at
+// best.
 //
 // Usage:
 //
@@ -38,9 +40,30 @@ type Result struct {
 	AllocsPerOp int64   `json:"allocs_per_op,omitempty"`
 }
 
+// Host mirrors cmd/benchjson's record of where the benchmarks ran.
+type Host struct {
+	CPU        string `json:"cpu,omitempty"`
+	GOOS       string `json:"goos,omitempty"`
+	GOARCH     string `json:"goarch,omitempty"`
+	GoVersion  string `json:"go_version"`
+	NumCPU     int    `json:"num_cpu"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+}
+
+// String renders the host on one line; a document without a host object
+// renders as "unrecorded".
+func (h Host) String() string {
+	if h == (Host{}) {
+		return "unrecorded"
+	}
+	return fmt.Sprintf("%s, %s/%s, %s, %d CPUs, GOMAXPROCS %d",
+		h.CPU, h.GOOS, h.GOARCH, h.GoVersion, h.NumCPU, h.GOMAXPROCS)
+}
+
 // Doc mirrors cmd/benchjson's committed JSON shape.
 type Doc struct {
 	Note    string   `json:"note"`
+	Host    Host     `json:"host"`
 	Results []Result `json:"results"`
 }
 
@@ -105,6 +128,10 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		return fmt.Errorf("at most one fresh-results file, got %d args", fs.NArg())
 	}
 
+	fmt.Fprintf(stdout, "baseline host: %s\nfresh host:    %s\n", base.Host, fresh.Host)
+	if base.Host != fresh.Host {
+		fmt.Fprintln(stdout, "warning: the hosts differ; ns/op and bytes/op compare across machines")
+	}
 	verdicts := Compare(base.Results, fresh.Results, tol)
 	failed := Report(stdout, verdicts)
 	if failed > 0 {

@@ -207,3 +207,33 @@ func TestRunNothingMatchedFails(t *testing.T) {
 		t.Fatalf("unmatched run: err = %v, want a no-match error\n%s", err, out.String())
 	}
 }
+
+// TestRunReportsHosts pins that both hosts are printed, and that the
+// warning appears exactly when they differ.
+func TestRunReportsHosts(t *testing.T) {
+	host := Host{CPU: "Xeon", GOOS: "linux", GOARCH: "amd64", GoVersion: "go1.24.0", NumCPU: 2, GOMAXPROCS: 2}
+	results := []Result{{Name: "BenchmarkX", Package: "p", NsPerOp: 1000, AllocsPerOp: 10}}
+	basePath := writeDoc(t, t.TempDir(), "base.json", Doc{Host: host, Results: results})
+	other := host
+	other.NumCPU, other.GOMAXPROCS = 8, 8
+	for _, c := range []struct {
+		fresh Host
+		warn  bool
+	}{{host, false}, {other, true}, {Host{}, true}} {
+		fresh, err := json.Marshal(Doc{Host: c.fresh, Results: results})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out bytes.Buffer
+		if err := run([]string{"-baseline", basePath}, bytes.NewReader(fresh), &out); err != nil {
+			t.Fatalf("run: %v\n%s", err, out.String())
+		}
+		got := out.String()
+		if !strings.Contains(got, "baseline host: "+host.String()+"\n") || !strings.Contains(got, "fresh host:    "+c.fresh.String()+"\n") {
+			t.Errorf("hosts not printed:\n%s", got)
+		}
+		if warned := strings.Contains(got, "warning: the hosts differ"); warned != c.warn {
+			t.Errorf("fresh host %v: warned = %v, want %v\n%s", c.fresh, warned, c.warn, got)
+		}
+	}
+}

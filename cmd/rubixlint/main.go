@@ -1,15 +1,14 @@
 // Command rubixlint runs the project's static-analysis suite (see
 // internal/lint: determinism, bitwidth, seedflow, panicpolicy, the
 // interprocedural observereffect and errdiscard analyzers, the concurrency
-// gates lockdiscipline and goroutineescape, and the domain/unit analyzers
-// addrspace, unitflow, and hotalloc) over the module.
+// gates lockdiscipline and goroutineescape, and hotalloc) over the module.
 //
 // Usage:
 //
 //	go run ./cmd/rubixlint ./...
 //	go run ./cmd/rubixlint -fix ./internal/dram ./internal/sim
 //	go run ./cmd/rubixlint -sarif ./... > lint.sarif
-//	go run ./cmd/rubixlint -only addrspace,unitflow ./...
+//	go run ./cmd/rubixlint -only observereffect,hotalloc ./...
 //	go run ./cmd/rubixlint -allow-audit ./...
 //
 // With no arguments (or "./...") the whole module is checked. The whole

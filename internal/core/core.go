@@ -147,8 +147,8 @@ type vGroupState struct {
 // open-row-X, read, open-row-Y, write, open-row-X again — 3 ACTs and
 // 2×gangSize CAS reads plus 2×gangSize CAS writes.
 type SwapOp struct {
-	RowX uint64 // global row of the gang at Ptr; addr: row
-	RowY uint64 // global row of its destination (Ptr ^ nextKey); addr: row
+	RowX uint64 // global row of the gang at Ptr
+	RowY uint64 // global row of its destination (Ptr ^ nextKey)
 	Acts int    // activations performed (3)
 	CAS  int    // column accesses performed (4 × gangSize)
 }

@@ -77,7 +77,7 @@ func (t Timing) WithRefresh() Timing {
 }
 
 type bankState struct {
-	openRow      int64 // global row index currently open; -1 if closed; addr: row
+	openRow      int64 // global row index currently open; -1 if closed
 	openAccesses int
 	lastActStart float64
 	readyAt      float64
@@ -90,7 +90,7 @@ type bankState struct {
 type AccessResult struct {
 	Completion float64 // ns at which data is available
 	ActStart   float64 // ns of the activation, if one occurred
-	GlobalRow  uint64  // addr: row
+	GlobalRow  uint64  // global row the access touched
 	RowHit     bool
 	Activated  bool
 }
@@ -197,10 +197,10 @@ type Module struct {
 	// a single global accumulator changes multi-channel totals in the last
 	// bits. TestMultiChannelGolden (internal/sim) and the perfbench golden
 	// digests pin it.
-	waitBank  []float64         // unit: ns; per channel
-	waitLease []float64         // unit: ns; per channel
-	prep      []float64         // unit: ns; per channel
-	waitBus   []float64         // unit: ns; per channel
+	waitBank  []float64         // ns, per channel
+	waitLease []float64         // ns, per channel
+	prep      []float64         // ns, per channel
+	waitBus   []float64         // ns, per channel
 	latHist   []stats.Histogram // per channel; only when Config.LatencyHist
 
 	// Accounting.

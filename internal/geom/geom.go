@@ -42,7 +42,7 @@ type Location struct {
 	Channel int
 	Rank    int
 	Bank    int    // bank within rank
-	Row     int    // row within bank; addr: row
+	Row     int    // row within bank
 	Slot    int    // line within row
 	Global  uint64 // global row index (unique across the system)
 }

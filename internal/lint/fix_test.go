@@ -112,66 +112,6 @@ func TestAnnotationFixIdempotent(t *testing.T) {
 	}
 }
 
-// TestAddrAnnotationFixIdempotent applies addrspace's `// addr:` annotation
-// fix to a scratch copy of the geom golden package and verifies the same
-// convergence contract as the lockdiscipline fix: one pass annotates the
-// inferred field, the second pass finds nothing left to edit.
-func TestAddrAnnotationFixIdempotent(t *testing.T) {
-	root := copyFixtures(t, "geom")
-
-	run := func() ([]lint.Diagnostic, map[string][]byte) {
-		pkgs, err := lint.NewLoader(root, "").LoadAll()
-		if err != nil {
-			t.Fatalf("loading scratch copy: %v", err)
-		}
-		diags, err := lint.Run(pkgs, []*lint.Analyzer{lint.AddrSpace}, lint.EverythingScope)
-		if err != nil {
-			t.Fatal(err)
-		}
-		contents, _, _, err := lint.ApplyFixes(pkgs[0].Fset, diags)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return diags, contents
-	}
-
-	diags, contents := run()
-	inferred := 0
-	for _, d := range diags {
-		if strings.Contains(d.Message, "does not record the domain") {
-			inferred++
-		}
-	}
-	if inferred == 0 {
-		t.Fatal("scratch copy produced no inference findings; fixture drifted")
-	}
-	if len(contents) == 0 {
-		t.Fatal("annotation fixes produced no edits")
-	}
-	patched := false
-	for file, data := range contents {
-		if strings.Contains(string(data), "addr: row") {
-			patched = true
-		}
-		if err := os.WriteFile(file, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !patched {
-		t.Fatal("patched sources missing the inserted `addr: row` annotation")
-	}
-
-	diags2, contents2 := run()
-	for _, d := range diags2 {
-		if strings.Contains(d.Message, "does not record the domain") {
-			t.Errorf("inference finding survived the fix: %s", d)
-		}
-	}
-	if len(contents2) != 0 {
-		t.Errorf("second -fix pass still wants to edit %d file(s); fix not idempotent", len(contents2))
-	}
-}
-
 // TestMaskFixIdempotent applies bitwidth's narrowing mask fix to a scratch
 // copy of the golden package: every unsigned narrowing gets its mask, the
 // signed one keeps its finding (a narrower mask would change the value),

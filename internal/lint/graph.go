@@ -17,17 +17,16 @@ import (
 //   - one node per (function, result-index) pair, representing the i-th
 //     return value of that function across all call sites.
 //
-// Edges record "value may flow from → to", each annotated with a bit-bound
-// transform (see xform) so the taint engine can track how many significant
-// bits survive masks, shifts, and conversions along the way. Flows through
-// assignments, returns, call arguments, struct-field reads/writes, composite
-// literals, channel sends/receives, and slice/map element accesses are
-// modeled; the analysis is flow-insensitive and context-insensitive (one
-// summary node set per function, shared by all call sites), which is
-// conservative in the taint direction. Closure result values are the one
-// documented hole: a FuncLit's returns have no result node, so taint
-// returned out of a closure is dropped (taint flowing *into* closures and
-// sinks *inside* closure bodies are still tracked).
+// Edges record "value may flow from → to"; the taint engine asks only which
+// nodes a source reaches. Flows through assignments, returns, call
+// arguments, struct-field reads/writes, composite literals, channel
+// sends/receives, and slice/map element accesses are modeled; the analysis
+// is flow-insensitive and context-insensitive (one summary node set per
+// function, shared by all call sites), which is conservative in the taint
+// direction. Closure result values are the one documented hole: a
+// FuncLit's returns have no result node, so taint returned out of a closure
+// is dropped (taint flowing *into* closures and sinks *inside* closure
+// bodies are still tracked).
 type node struct {
 	obj types.Object // named value; nil for result nodes
 	fn  *types.Func  // owning function, for result nodes
@@ -40,84 +39,9 @@ func resultNode(fn *types.Func, i int) node { return node{fn: fn, idx: i} }
 // objNode names a variable/parameter/field object.
 func objNode(obj types.Object) node { return node{obj: obj} }
 
-// xform is a monotone bit-bound transform f(b) = min(b+add, cap), clamped to
-// [0, 64]. Masking by a constant sets cap; shifting adjusts add; a narrowing
-// conversion caps at the destination width. Composition of two xforms is
-// again an xform, and joining parallel paths takes the pointwise maximum —
-// conservative (never under-reports the surviving bit width).
-type xform struct {
-	add int
-	cap int
-}
-
-var identity = xform{add: 0, cap: 64}
-
-// apply evaluates the transform on a concrete bound.
-func (x xform) apply(b int) int {
-	b += x.add
-	if b > x.cap {
-		b = x.cap
-	}
-	if b < 0 {
-		b = 0
-	}
-	if b > 64 {
-		b = 64
-	}
-	return b
-}
-
-// compose returns the transform "x then y".
-func (x xform) compose(y xform) xform {
-	c := xform{add: clamp64(x.add + y.add), cap: x.cap + y.add}
-	if c.cap > y.cap {
-		c.cap = y.cap
-	}
-	if c.cap < 0 {
-		c.cap = 0
-	}
-	if c.cap > 64 {
-		c.cap = 64
-	}
-	return c
-}
-
-// join returns the pointwise maximum of two transforms (conservative merge
-// of parallel flow paths).
-func (x xform) join(y xform) xform {
-	if y.add > x.add {
-		x.add = y.add
-	}
-	if y.cap > x.cap {
-		x.cap = y.cap
-	}
-	return x
-}
-
-func clamp64(v int) int {
-	if v > 64 {
-		return 64
-	}
-	if v < -64 {
-		return -64
-	}
-	return v
-}
-
-// capAt returns the transform that caps the bound at w bits.
-func capAt(w int) xform { return xform{add: 0, cap: w} }
-
-// Flow is one abstract value a given expression may have been derived from,
-// with the bit-bound transform accumulated between the node and the
-// expression.
+// Flow is one abstract value a given expression may have been derived from.
 type Flow struct {
-	n  node
-	tf xform
-}
-
-type edgeTo struct {
-	to node
-	tf xform
+	n node
 }
 
 // funcBody locates the declaration of a function that has a body in the
@@ -135,7 +59,7 @@ type Program struct {
 	byPath map[string]*Package
 
 	fns   map[*types.Func]*funcBody
-	edges map[node][]edgeTo
+	edges map[node][]node
 
 	// callees is the static call graph: for each function with a body, the
 	// set of functions it calls directly (interface callees resolve to the
@@ -148,13 +72,9 @@ type Program struct {
 	// first use by a concurrency analyzer.
 	conc *concFacts
 
-	// dom memoizes the domain-fact database (see domain.go), built on first
-	// use by addrspace, unitflow, or hotalloc.
-	dom *domainFacts
-
-	// ifaceImpls memoizes interface-method → concrete-implementation edges
-	// (see hotalloc.go), built on first use by hot reachability.
-	ifaceImpls map[*types.Func][]*types.Func
+	// hotReached memoizes the functions reachable from a `// hot` root (see
+	// hotalloc.go), built on first use by hotalloc.
+	hotReached map[*types.Func]hotReach
 }
 
 // BuildProgram constructs the value-flow graph over the loaded packages.
@@ -163,7 +83,7 @@ func BuildProgram(pkgs []*Package) *Program {
 		pkgs:       pkgs,
 		byPath:     make(map[string]*Package),
 		fns:        make(map[*types.Func]*funcBody),
-		edges:      make(map[node][]edgeTo),
+		edges:      make(map[node][]node),
 		callees:    make(map[*types.Func]map[*types.Func]bool),
 		taintCache: make(map[string]TaintMap),
 	}
@@ -246,7 +166,7 @@ func (p *Program) addEdge(from Flow, to node) {
 	if from.n == (node{}) || to == (node{}) {
 		return
 	}
-	p.edges[from.n] = append(p.edges[from.n], edgeTo{to: to, tf: from.tf})
+	p.edges[from.n] = append(p.edges[from.n], to)
 }
 
 // evaluator walks one package's functions, adding edges to the program graph
@@ -276,7 +196,7 @@ func (ev *evaluator) buildFunc(fn *types.Func, fd *ast.FuncDecl) {
 			}
 			for _, name := range field.Names {
 				if obj := ev.pkg.Info.Defs[name]; obj != nil {
-					ev.prog.addEdge(Flow{n: objNode(obj), tf: identity}, resultNode(fn, idx))
+					ev.prog.addEdge(Flow{n: objNode(obj)}, resultNode(fn, idx))
 				}
 				idx++
 			}
@@ -519,7 +439,7 @@ func (ev *evaluator) callResultFlows(call *ast.CallExpr, nresults int) [][]Flow 
 	}
 	for i := range out {
 		if fn != nil {
-			out[i] = append(out[i], Flow{n: resultNode(fn, i), tf: identity})
+			out[i] = append(out[i], Flow{n: resultNode(fn, i)})
 		}
 		out[i] = append(out[i], passthrough...)
 	}
@@ -574,10 +494,9 @@ func paramObjs(pkg *Package, fd *ast.FuncDecl) []types.Object {
 	return out
 }
 
-// origins computes the abstract values an expression may be derived from,
-// with accumulated bit-bound transforms. This is the expression-level half
-// of the dataflow engine; the graph edges built above are its statement-
-// level half.
+// origins computes the abstract values an expression may be derived from.
+// This is the expression-level half of the dataflow engine; the graph edges
+// built above are its statement-level half.
 func (ev *evaluator) origins(e ast.Expr) []Flow {
 	info := ev.pkg.Info
 	switch x := e.(type) {
@@ -585,7 +504,7 @@ func (ev *evaluator) origins(e ast.Expr) []Flow {
 		if obj := info.Uses[x]; obj != nil {
 			switch obj.(type) {
 			case *types.Var:
-				return []Flow{{n: objNode(obj), tf: identity}}
+				return []Flow{{n: objNode(obj)}}
 			}
 		}
 		return nil
@@ -596,10 +515,10 @@ func (ev *evaluator) origins(e ast.Expr) []Flow {
 			// every read; adding the container's own taint here would make
 			// one tainted field contaminate all of its siblings through the
 			// container (field-insensitivity blowup).
-			return []Flow{{n: objNode(sel.Obj()), tf: identity}}
+			return []Flow{{n: objNode(sel.Obj())}}
 		}
 		if obj, ok := info.Uses[x.Sel].(*types.Var); ok {
-			return []Flow{{n: objNode(obj), tf: identity}}
+			return []Flow{{n: objNode(obj)}}
 		}
 		return nil
 	case *ast.ParenExpr:
@@ -644,58 +563,21 @@ func (ev *evaluator) origins(e ast.Expr) []Flow {
 	return nil
 }
 
-// binaryOrigins models bit-bound arithmetic: masks cap the bound, constant
-// shifts add/subtract, mod caps, everything else joins conservatively.
+// binaryOrigins unions both operands' origins. A shift is the exception:
+// its result derives from the shifted operand alone, not from the amount.
 func (ev *evaluator) binaryOrigins(x *ast.BinaryExpr) []Flow {
-	both := func(tf xform) []Flow {
-		flows := composeAll(ev.origins(x.X), tf)
-		return append(flows, composeAll(ev.origins(x.Y), tf)...)
-	}
-	switch x.Op {
-	case token.AND:
-		if m, ok := ev.constUintOf(x.Y); ok {
-			return composeAll(ev.origins(x.X), capAt(bitsOf(m)))
-		}
-		if m, ok := ev.constUintOf(x.X); ok {
-			return composeAll(ev.origins(x.Y), capAt(bitsOf(m)))
-		}
-		return both(identity)
-	case token.AND_NOT:
-		return both(identity)
-	case token.SHR:
-		if amt, ok := ev.constUintOf(x.Y); ok {
-			return composeAll(ev.origins(x.X), xform{add: -int(min(amt, 64)), cap: 64})
-		}
+	if x.Op == token.SHL || x.Op == token.SHR {
 		return ev.origins(x.X)
-	case token.SHL:
-		if amt, ok := ev.constUintOf(x.Y); ok {
-			return composeAll(ev.origins(x.X), xform{add: int(min(amt, 64)), cap: 64})
-		}
-		return composeAll(ev.origins(x.X), capAt(64))
-	case token.REM:
-		if m, ok := ev.constUintOf(x.Y); ok && m > 0 {
-			return composeAll(ev.origins(x.X), capAt(bitsOf(m-1)))
-		}
-		return both(identity)
-	case token.ADD, token.SUB, token.OR, token.XOR:
-		return both(xform{add: 1, cap: 64})
-	case token.MUL, token.QUO:
-		return both(xform{add: 64, cap: 64}) // product bounds are not unary; give up precisely
-	default: // comparisons, &&, ||: boolean result still derives from operands
-		return both(identity)
 	}
+	return append(ev.origins(x.X), ev.origins(x.Y)...)
 }
 
 // callOrigins models conversions, builtins, and function calls.
 func (ev *evaluator) callOrigins(call *ast.CallExpr) []Flow {
 	info := ev.pkg.Info
-	// Conversion T(x): the value is x's, capped at T's width for integers.
+	// Conversion T(x): the value is x's.
 	if tv, ok := info.Types[call.Fun]; ok && tv.IsType() && len(call.Args) == 1 {
-		tf := identity
-		if w, ok := intWidth(tv.Type); ok {
-			tf = capAt(w)
-		}
-		return composeAll(ev.origins(call.Args[0]), tf)
+		return ev.origins(call.Args[0])
 	}
 	if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok {
 		if _, isBuiltin := info.Uses[id].(*types.Builtin); isBuiltin {
@@ -713,20 +595,4 @@ func (ev *evaluator) callOrigins(call *ast.CallExpr) []Flow {
 	}
 	flows := ev.callResultFlows(call, 1)
 	return flows[0]
-}
-
-func (ev *evaluator) constUintOf(e ast.Expr) (uint64, bool) {
-	p := &Pass{Info: ev.pkg.Info}
-	return constUint(p, e)
-}
-
-func composeAll(flows []Flow, tf xform) []Flow {
-	if tf == identity {
-		return flows
-	}
-	out := make([]Flow, len(flows))
-	for i, f := range flows {
-		out[i] = Flow{n: f.n, tf: f.tf.compose(tf)}
-	}
-	return out
 }

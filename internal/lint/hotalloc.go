@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"regexp"
 	"sort"
 	"strings"
 )
@@ -39,26 +40,58 @@ type hotReach struct {
 	parent *types.Func
 }
 
-// hotReachability computes the hot-reachable set over the static call graph,
-// resolving interface method callees to every loaded implementation.
-func (f *domainFacts) hotReachability(p *Program) map[*types.Func]hotReach {
-	if f.hotReached != nil {
-		return f.hotReached
-	}
-	f.hotReached = make(map[*types.Func]hotReach)
-	impls := p.interfaceImpls()
+// hotAnnRE and coldAnnRE match the annotations on a line of their own in a
+// doc comment: `// hot` marks an allocation-gated root, and `// cold` stops
+// hot reachability at that function (an explicitly-amortized or debug-only
+// callee) or, in a package doc, at every function of the package (opt-in
+// debug machinery like the paranoid-mode checker).
+var (
+	hotAnnRE  = regexp.MustCompile(`(?m)^\s*hot\b`)
+	coldAnnRE = regexp.MustCompile(`(?m)^\s*cold\b`)
+)
 
-	roots := make([]*types.Func, 0, len(f.hot))
-	for fn := range f.hot { // key extraction: sorted below
-		roots = append(roots, fn)
+// hotReachability computes (once per Program) the hot-reachable set over the
+// static call graph, resolving interface method callees to every loaded
+// implementation.
+func (p *Program) hotReachability() map[*types.Func]hotReach {
+	if p.hotReached != nil {
+		return p.hotReached
+	}
+	var roots []*types.Func
+	cold := make(map[*types.Func]bool)
+	coldPkgs := make(map[string]bool)
+	for _, pkg := range p.pkgs {
+		for _, file := range pkg.Files {
+			if file.Doc != nil && coldAnnRE.MatchString(file.Doc.Text()) {
+				coldPkgs[pkgBase(pkg.Path)] = true
+			}
+			for _, decl := range file.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok || fd.Doc == nil {
+					continue
+				}
+				fn, _ := pkg.Info.Defs[fd.Name].(*types.Func)
+				if fn == nil {
+					continue
+				}
+				if hotAnnRE.MatchString(fd.Doc.Text()) {
+					roots = append(roots, fn)
+				}
+				if coldAnnRE.MatchString(fd.Doc.Text()) {
+					cold[fn] = true
+				}
+			}
+		}
 	}
 	sort.Slice(roots, func(i, j int) bool { return roots[i].FullName() < roots[j].FullName() })
 
+	p.hotReached = make(map[*types.Func]hotReach)
+	impls := p.interfaceImpls()
 	for _, root := range roots {
-		if _, seen := f.hotReached[root]; seen {
+		if _, seen := p.hotReached[root]; seen {
 			continue
 		}
-		f.hotReached[root] = hotReach{root: root}
+		p.hotReached[root] = hotReach{root: root}
 		work := []*types.Func{root}
 		for len(work) > 0 {
 			fn := work[0]
@@ -69,35 +102,32 @@ func (f *domainFacts) hotReachability(p *Program) map[*types.Func]hotReach {
 					targets = append(targets, iface...)
 				}
 				for _, t := range targets {
-					if f.cold[t] {
+					if cold[t] {
 						continue
 					}
-					if p := t.Pkg(); p != nil && f.coldPkgs[pkgBase(p.Path())] {
+					if tp := t.Pkg(); tp != nil && coldPkgs[pkgBase(tp.Path())] {
 						continue // the whole package is off the measured path
 					}
-					if _, seen := f.hotReached[t]; seen {
+					if _, seen := p.hotReached[t]; seen {
 						continue
 					}
 					if !p.HasBody(t) {
 						continue // out-of-module: the dynamic gate covers it
 					}
-					f.hotReached[t] = hotReach{root: root, parent: fn}
+					p.hotReached[t] = hotReach{root: root, parent: fn}
 					work = append(work, t)
 				}
 			}
 		}
 	}
-	return f.hotReached
+	return p.hotReached
 }
 
 // interfaceImpls maps each interface method object to the concrete methods
 // (with loaded bodies) of types implementing that interface — the dynamic
 // dispatch edge the plain call graph cannot see.
 func (p *Program) interfaceImpls() map[*types.Func][]*types.Func {
-	if p.ifaceImpls != nil {
-		return p.ifaceImpls
-	}
-	p.ifaceImpls = make(map[*types.Func][]*types.Func)
+	impls := make(map[*types.Func][]*types.Func)
 
 	// Collect the interface methods that appear as call-graph callees.
 	ifaceMethods := make(map[*types.Func]*types.Interface)
@@ -116,7 +146,7 @@ func (p *Program) interfaceImpls() map[*types.Func][]*types.Func {
 		}
 	}
 	if len(ifaceMethods) == 0 {
-		return p.ifaceImpls
+		return impls
 	}
 	// Match every named type in the loaded packages against each interface.
 	for _, pkg := range p.pkgs {
@@ -140,22 +170,19 @@ func (p *Program) interfaceImpls() map[*types.Func][]*types.Func {
 				}
 				obj, _, _ := types.LookupFieldOrMethod(recv, true, m.Pkg(), m.Name())
 				if impl, ok := obj.(*types.Func); ok && p.HasBody(impl) {
-					p.ifaceImpls[m] = append(p.ifaceImpls[m], impl)
+					impls[m] = append(impls[m], impl)
 				}
 			}
 		}
 	}
-	for m := range p.ifaceImpls { // per-key sort: deterministic traversal
-		impls := p.ifaceImpls[m]
-		sort.Slice(impls, func(i, j int) bool { return impls[i].FullName() < impls[j].FullName() })
+	for _, fns := range impls { // per-key sort: deterministic traversal
+		sort.Slice(fns, func(i, j int) bool { return fns[i].FullName() < fns[j].FullName() })
 	}
-	return p.ifaceImpls
+	return impls
 }
 
 func runHotAlloc(pass *Pass) error {
-	prog := pass.Prog
-	facts := prog.domains()
-	reach := facts.hotReachability(prog)
+	reach := pass.Prog.hotReachability()
 	if len(reach) == 0 {
 		return nil
 	}
@@ -173,7 +200,7 @@ func runHotAlloc(pass *Pass) error {
 			if !hot {
 				continue
 			}
-			checkHotBody(pass, facts, fn, fd, hr)
+			checkHotBody(pass, fn, fd, hr)
 		}
 	}
 	return nil
@@ -181,7 +208,7 @@ func runHotAlloc(pass *Pass) error {
 
 // hotPathLabel renders "hot mapping.MapBatch" or "reachable from hot
 // memctrl.AccessBatch via accessMapped" for diagnostics.
-func hotPathLabel(facts *domainFacts, fn *types.Func, hr hotReach) string {
+func hotPathLabel(fn *types.Func, hr hotReach) string {
 	if hr.root == fn {
 		return fmt.Sprintf("// hot function %s", funcLabel(fn))
 	}
@@ -206,8 +233,8 @@ func funcLabel(fn *types.Func) string {
 
 // checkHotBody walks one hot-reachable function body and reports every
 // static allocation site.
-func checkHotBody(pass *Pass, facts *domainFacts, fn *types.Func, fd *ast.FuncDecl, hr hotReach) {
-	where := hotPathLabel(facts, fn, hr)
+func checkHotBody(pass *Pass, fn *types.Func, fd *ast.FuncDecl, hr hotReach) {
+	where := hotPathLabel(fn, hr)
 	report := func(pos token.Pos, kind string) {
 		pass.Report(pos, fmt.Sprintf(
 			"%s in %s; hoist it out of the hot path, mark the callee // cold, or annotate //lint:allow hotalloc <why>",

@@ -16,9 +16,6 @@
 //     simulation state, and module-internal errors must be handled.
 //   - lockdiscipline, goroutineescape: the concurrency-safety gates over
 //     the shared concurrency-facts layer.
-//   - addrspace / unitflow: values live in one address domain
-//     (line/phys/row/cipher) or time unit (ns/cycle/refresh) and may only
-//     change domain through a declared converter (see domain.go).
 //   - hotalloc: functions marked `// hot` — and everything they reach
 //     through the call graph — must not allocate; `// cold` stops the
 //     traversal.
@@ -117,8 +114,7 @@ func (p *Pass) TypeOf(e ast.Expr) types.Type {
 func All() []*Analyzer {
 	return []*Analyzer{
 		Determinism, Bitwidth, Seedflow, Panicpolicy,
-		ObserverEffect, ErrDiscard, LockDiscipline, GoroutineEscape,
-		AddrSpace, UnitFlow, HotAlloc,
+		ObserverEffect, ErrDiscard, LockDiscipline, GoroutineEscape, HotAlloc,
 	}
 }
 
@@ -173,8 +169,6 @@ var analyzerScope = map[string]scopeClass{
 	"observereffect":  scopeSimNoMetrics,
 	"determinism":     scopeSim,
 	"bitwidth":        scopeSim,
-	"addrspace":       scopeSim,
-	"unitflow":        scopeSim,
 	"hotalloc":        scopeSim,
 }
 

@@ -106,20 +106,6 @@ func TestGoroutineEscape(t *testing.T) {
 	linttest.Run(t, testdata, lint.GoroutineEscape, "goroutineescape")
 }
 
-func TestAddrSpace(t *testing.T) {
-	linttest.Run(t, testdata, lint.AddrSpace, "addrspace")
-}
-
-// TestAddrSpaceInference runs the annotation-inference half on the geom
-// fixture: inference only fires inside the address-domain packages.
-func TestAddrSpaceInference(t *testing.T) {
-	linttest.Run(t, testdata, lint.AddrSpace, "geom")
-}
-
-func TestUnitFlow(t *testing.T) {
-	linttest.Run(t, testdata, lint.UnitFlow, "unitflow")
-}
-
 func TestHotAlloc(t *testing.T) {
 	linttest.Run(t, testdata, lint.HotAlloc, "hotalloc")
 }
@@ -164,12 +150,6 @@ func TestDefaultScope(t *testing.T) {
 		{"lockdiscipline", "rubix/internal/lint/linttest", true},
 		{"goroutineescape", "rubix/internal/check", true},
 		{"goroutineescape", "rubix/cmd/rubixsim", true},
-		{"addrspace", "rubix/internal/mapping", true},
-		{"addrspace", "rubix/internal/memctrl", true},
-		{"addrspace", "rubix/internal/lint", false},
-		{"addrspace", "rubix/cmd/rubixsim", false},
-		{"unitflow", "rubix/internal/dram", true},
-		{"unitflow", "rubix/internal/lint/linttest", false},
 		{"hotalloc", "rubix/internal/memctrl", true},
 		{"hotalloc", "rubix/internal/server", false},
 		{"hotalloc", "rubix/examples/quickstart", false},
@@ -182,6 +162,27 @@ func TestDefaultScope(t *testing.T) {
 		if got := scope(a, c.pkg); got != c.want {
 			t.Errorf("scope(%s, %s) = %v, want %v", c.analyzer, c.pkg, got, c.want)
 		}
+	}
+}
+
+// TestAnalyzerScopeTable pins the bijection between the registered suite and
+// the scope pin table: every analyzer has exactly one scope row and every
+// row names a registered analyzer.
+func TestAnalyzerScopeTable(t *testing.T) {
+	names := make(map[string]bool)
+	for _, a := range lint.All() {
+		names[a.Name] = true
+		if _, ok := lint.AnalyzerScope[a.Name]; !ok {
+			t.Errorf("analyzer %q registered in All() but missing from analyzerScope", a.Name)
+		}
+	}
+	for name := range lint.AnalyzerScope {
+		if !names[name] {
+			t.Errorf("analyzerScope row %q names no registered analyzer", name)
+		}
+	}
+	if len(lint.AnalyzerScope) != len(lint.All()) {
+		t.Errorf("analyzerScope has %d rows, All() has %d analyzers", len(lint.AnalyzerScope), len(lint.All()))
 	}
 }
 

@@ -61,19 +61,17 @@ func runObserverEffect(pass *Pass) error {
 						}
 						for i := 0; i < obj.Type().(*types.Signature).Results().Len(); i++ {
 							srcs = append(srcs, Source{
-								n:     resultNode(obj, i),
-								bound: 64,
-								pos:   pkg.Fset.Position(obj.Pos()),
-								what:  "metrics." + obj.Name(),
+								n:    resultNode(obj, i),
+								pos:  pkg.Fset.Position(obj.Pos()),
+								what: "metrics." + obj.Name(),
 							})
 						}
 					case *types.Var:
 						if obj.IsField() && obj.Name() != "_" {
 							srcs = append(srcs, Source{
-								n:     objNode(obj),
-								bound: 64,
-								pos:   pkg.Fset.Position(obj.Pos()),
-								what:  "metrics field " + obj.Name(),
+								n:    objNode(obj),
+								pos:  pkg.Fset.Position(obj.Pos()),
+								what: "metrics field " + obj.Name(),
 							})
 						}
 					}

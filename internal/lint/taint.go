@@ -1,38 +1,27 @@
 package lint
 
 import (
-	"go/ast"
 	"go/token"
 	"go/types"
 	"sort"
 	"strings"
 )
 
-// Source seeds the taint engine: the abstract node the taint enters at, the
-// bit bound it carries there, and a human-readable description used in
-// diagnostics.
+// Source seeds the taint engine: the abstract node the taint enters at and a
+// human-readable description used in diagnostics.
 type Source struct {
-	n     node
-	bound int
-	pos   token.Position
-	what  string
+	n    node
+	pos  token.Position
+	what string
 }
 
-// taintState is the lattice element per node: the widest bit bound observed
-// and the (deterministically chosen) representative source.
-type taintState struct {
-	bound int
-	pos   token.Position
-	what  string
-}
-
-// TaintMap is the fixpoint of one taint propagation over the program graph.
-type TaintMap map[node]taintState
+// TaintMap is the set of nodes one taint propagation reaches, each with its
+// representative source: the first source whose taint reached it.
+type TaintMap map[node]Hit
 
 // Taint runs (and caches, per key) one taint propagation seeded by the given
-// sources. Propagation is a FIFO worklist over the value-flow edges; the
-// per-node bound only grows and is clamped to [0, 64], so the fixpoint is
-// reached in bounded iterations.
+// sources: a FIFO worklist over the value-flow edges that visits each node
+// once, so a node's representative source is the first one to reach it.
 func (p *Program) Taint(key string, seed func() []Source) TaintMap {
 	if tm, ok := p.taintCache[key]; ok {
 		return tm
@@ -49,127 +38,39 @@ func (p *Program) Taint(key string, seed func() []Source) TaintMap {
 	tm := make(TaintMap)
 	var work []node
 	for _, s := range sources {
-		st, ok := tm[s.n]
-		if !ok || s.bound > st.bound {
-			if !ok {
-				st = taintState{bound: s.bound, pos: s.pos, what: s.what}
-			} else {
-				st.bound = s.bound
-			}
-			tm[s.n] = st
+		if _, ok := tm[s.n]; !ok {
+			tm[s.n] = Hit{Pos: s.pos, What: s.what}
 			work = append(work, s.n)
 		}
 	}
 	for len(work) > 0 {
 		n := work[0]
 		work = work[1:]
-		st := tm[n]
-		for _, e := range p.edges[n] {
-			nb := e.tf.apply(st.bound)
-			cur, ok := tm[e.to]
-			if ok && cur.bound >= nb {
-				continue
+		for _, to := range p.edges[n] {
+			if _, ok := tm[to]; !ok {
+				tm[to] = tm[n]
+				work = append(work, to)
 			}
-			if !ok {
-				cur = taintState{bound: nb, pos: st.pos, what: st.what}
-			} else {
-				cur.bound = nb
-			}
-			tm[e.to] = cur
-			work = append(work, e.to)
 		}
 	}
 	p.taintCache[key] = tm
 	return tm
 }
 
-// Hit describes one tainted flow reaching a query point.
+// Hit names the representative source of a tainted node or query point.
 type Hit struct {
-	Bound int            // bits the value may carry at the query point
-	Pos   token.Position // representative source position
-	What  string         // source description
+	Pos  token.Position // representative source position
+	What string         // source description
 }
 
-// Query checks whether any of the flows is tainted, returning the hit with
-// the widest surviving bound.
+// Query reports the first of the flows that is tainted.
 func (tm TaintMap) Query(flows []Flow) (Hit, bool) {
-	var best Hit
-	found := false
 	for _, f := range flows {
-		st, ok := tm[f.n]
-		if !ok {
-			continue
-		}
-		b := f.tf.apply(st.bound)
-		if !found || b > best.Bound {
-			best = Hit{Bound: b, Pos: st.pos, What: st.what}
-			found = true
+		if h, ok := tm[f.n]; ok {
+			return h, true
 		}
 	}
-	return best, found
-}
-
-// Origins exposes the expression evaluator to analyzers: the abstract values
-// expression e (from package pkg) may derive from.
-func (p *Program) Origins(pkg *Package, e ast.Expr) []Flow {
-	ev := &evaluator{prog: p, pkg: pkg}
-	return ev.origins(e)
-}
-
-// Summary computes fn's transfer summary: for each parameter index, the
-// result indexes a value entering that parameter can reach, with the
-// composed bit-bound transform along the widest path. Summaries are the
-// per-function digest of the global graph; tests pin them, and DESIGN.md §8
-// documents how they relate to the context-insensitive propagation.
-func (p *Program) Summary(fn *types.Func) map[int]map[int]xform {
-	body := p.fns[fn]
-	if body == nil {
-		return nil
-	}
-	params := paramObjs(body.pkg, body.decl)
-	nres := fn.Type().(*types.Signature).Results().Len()
-	out := make(map[int]map[int]xform)
-	for i, pobj := range params {
-		if pobj == nil {
-			continue
-		}
-		reach := p.reachability(objNode(pobj))
-		for r := 0; r < nres; r++ {
-			if tf, ok := reach[resultNode(fn, r)]; ok {
-				if out[i] == nil {
-					out[i] = make(map[int]xform)
-				}
-				out[i][r] = tf
-			}
-		}
-	}
-	return out
-}
-
-// reachability walks the graph from a node, composing transforms and joining
-// parallel paths, until the per-node transforms stop improving.
-func (p *Program) reachability(from node) map[node]xform {
-	seen := map[node]xform{from: identity}
-	work := []node{from}
-	for len(work) > 0 {
-		n := work[0]
-		work = work[1:]
-		tf := seen[n]
-		for _, e := range p.edges[n] {
-			next := tf.compose(e.tf)
-			cur, ok := seen[e.to]
-			if ok {
-				joined := cur.join(next)
-				if joined == cur {
-					continue
-				}
-				next = joined
-			}
-			seen[e.to] = next
-			work = append(work, e.to)
-		}
-	}
-	return seen
+	return Hit{}, false
 }
 
 // --- package classification shared by the dataflow analyzers ----------------

@@ -8,8 +8,8 @@ func Direct(m mapping.Mapper, line uint64) uint32 {
 	return uint32(row) // want "narrowing conversion from 64-bit uint64 to 32-bit uint32"
 }
 
-// shift drops three bits; TestTransferSummary pins its param → result
-// transform.
+// shift drops three bits; TestTransferSummary pins that its parameter
+// reaches its result.
 func shift(v uint64) uint64 {
 	return v >> 3
 }

@@ -12,14 +12,6 @@ type Bank struct {
 	Rows      []uint64
 }
 
-// Timing mirrors the real module's timing block: every float field is a
-// nanosecond quantity by the DESIGN §13 ground-truth rule, whatever its
-// mnemonic name.
-type Timing struct {
-	TRCD float64
-	TRP  float64
-}
-
 // Attach wires an opaque probe handle into the bank; metrics-typed
 // arguments are exempt at this sink.
 func Attach(b *Bank, probe any) {}

@@ -1,6 +1,5 @@
 // Package mapping is a miniature of the real address-mapping package: the
-// bitwidth and addrspace fixtures translate addresses through its Map and
-// Unmap.
+// bitwidth fixtures translate addresses through its Mapper.
 package mapping
 
 // Mapper maps line addresses.

@@ -174,7 +174,7 @@ func (c *Controller) accessMapped(line, phys uint64, arrival float64) float64 {
 	row := c.DRAM.Geom.GlobalRow(phys)
 	cur := c.Mit.TranslateRow(row)
 	if cur != row {
-		//lint:allow addrspace row→phys reassembly is GlobalRow's declared inverse: the migrated row id replaces the row bits, the slot within the row is preserved
+		// row→phys reassembly is GlobalRow's inverse: the migrated row id replaces the row bits, the slot within the row is preserved
 		phys = cur<<c.slotBits | phys&((1<<c.slotBits)-1)
 	}
 

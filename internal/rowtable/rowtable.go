@@ -27,7 +27,7 @@ const fib = 0x9E3779B97F4A7C15
 // slot is one table entry. epoch == 0 never matches a live table epoch,
 // so a zeroed or deleted slot is free in every epoch.
 type slot[V any] struct {
-	row   uint64 // addr: row
+	row   uint64 // global row the slot holds
 	epoch uint32
 	val   V
 }
