@@ -1,6 +1,6 @@
 # Convenience targets mirroring the CI jobs (.github/workflows/ci.yml).
 
-.PHONY: all build test race race-concurrency lint lint-audit ci fuzz profile bench bench-mapping benchdiff check-paranoid check-replay smoke-rubixd
+.PHONY: all build test race race-concurrency lint lint-audit fmt-check ci fuzz profile profile-sweep bench bench-mapping benchdiff check-paranoid check-replay smoke-rubixd
 
 all: build test
 
@@ -35,7 +35,11 @@ lint:
 lint-audit:
 	go run ./cmd/rubixlint -allow-audit ./...
 
-ci: build test race lint lint-audit
+# Formatting gate: gofmt must have nothing to rewrite anywhere in the tree.
+fmt-check:
+	test -z "$$(gofmt -l .)"
+
+ci: fmt-check build test race lint lint-audit
 
 # Fuzz smoke: every fuzz target for 15 s — the row table against a Go map,
 # the Result decoder, the store entry decoder, the trace reader and
@@ -108,3 +112,11 @@ profile:
 	go run ./cmd/rubixsim -workload mcf -mapping coffeelake -mitigation aqua \
 		-trh 128 -scale 0.2 -pprof localhost:6060 \
 		-cpuprofile results/cpu.pprof -metrics-json results/metrics.json -metrics
+
+# CPU profile of the per-access hot path as a sweep exercises it: the
+# Figure 7 hot-row bench and the Figure 8 AQUA performance bench, one
+# iteration each (`go tool pprof -top results/sweep.pprof`).
+profile-sweep:
+	mkdir -p results
+	go test -run '^$$' -bench 'Fig7_HotRows$$|Fig8_Performance_AQUA$$' -benchtime 1x \
+		-cpuprofile results/sweep.pprof .

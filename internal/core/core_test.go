@@ -426,4 +426,3 @@ func TestStaticXORIsXorLinear(t *testing.T) {
 		}
 	}
 }
-

@@ -33,8 +33,8 @@ type Core struct {
 
 	cfg     Config
 	profile workload.Profile
-	mlpCap  int // max overlapped misses (MSHR-limited MLP)
-	meanGap float64
+	mlpCap  int           // max overlapped misses (MSHR-limited MLP)
+	gap     rng.Geometric // instructions between misses, mean 1000/MPKI
 	rng     *rng.Xoshiro256
 
 	// pipelined batches: high-MLP workloads keep several miss bursts in
@@ -65,7 +65,7 @@ func New(id int, cfg Config, p workload.Profile, target uint64, seed uint64) *Co
 		cfg:     cfg,
 		profile: p,
 		mlpCap:  mlp,
-		meanGap: 1000 / mpki,
+		gap:     rng.NewGeometric(1000 / mpki),
 		rng:     rng.NewXoshiro256(seed),
 	}
 	// High-MLP workloads keep `mlp` bursts in flight (deep MSHR + memory
@@ -103,7 +103,7 @@ type BatchAccessFunc func(lines []uint64, arrival float64) float64
 //
 // hot: one call per simulated miss burst.
 func (c *Core) StepBatch(access BatchAccessFunc) {
-	gap := c.rng.Geometric(c.meanGap)
+	gap := c.gap.Sample(c.rng)
 	c.Now += float64(gap) * c.cfg.BaseCPI / c.cfg.FreqGHz
 	c.Retired += uint64(gap)
 
@@ -117,7 +117,7 @@ func (c *Core) StepBatch(access BatchAccessFunc) {
 		}
 		// The compute between overlapped misses also overlaps with the
 		// outstanding memory time.
-		g := c.rng.Geometric(c.meanGap)
+		g := c.gap.Sample(c.rng)
 		c.Retired += uint64(g)
 		c.Now += float64(g) * c.cfg.BaseCPI / c.cfg.FreqGHz
 	}

@@ -26,7 +26,7 @@ func Serial(f AccessFunc) BatchAccessFunc {
 // through access as it is generated. Step(f) and StepBatch(Serial(f)) are
 // byte-identical (TestStepBatchMatchesStep).
 func (c *Core) Step(access AccessFunc) {
-	gap := c.rng.Geometric(c.meanGap)
+	gap := c.gap.Sample(c.rng)
 	c.Now += float64(gap) * c.cfg.BaseCPI / c.cfg.FreqGHz
 	c.Retired += uint64(gap)
 
@@ -42,7 +42,7 @@ func (c *Core) Step(access AccessFunc) {
 		}
 		// The compute between overlapped misses also overlaps with the
 		// outstanding memory time.
-		g := c.rng.Geometric(c.meanGap)
+		g := c.gap.Sample(c.rng)
 		c.Retired += uint64(g)
 		c.Now += float64(g) * c.cfg.BaseCPI / c.cfg.FreqGHz
 	}

@@ -21,6 +21,11 @@ import (
 )
 
 // Geometry describes a DRAM memory system.
+//
+// The decoders that every simulated access calls (GlobalRow, Slot, BankID,
+// ChannelOf and the BanksTotal that BankID uses) take a pointer receiver,
+// so a call through dram.Module.Geom does not copy the struct. String keeps
+// a value receiver, so fmt formats a Geometry value with it.
 type Geometry struct {
 	Channels    int // number of memory channels
 	Ranks       int // ranks per channel
@@ -150,16 +155,16 @@ func (g Geometry) TotalRows() uint64 { return g.TotalLines() >> g.slotBits }
 func (g Geometry) TotalBytes() uint64 { return g.TotalLines() * uint64(g.LineBytes) }
 
 // BanksTotal reports the number of independent banks across the system.
-func (g Geometry) BanksTotal() int { return g.Channels * g.Ranks * g.Banks }
+func (g *Geometry) BanksTotal() int { return g.Channels * g.Ranks * g.Banks }
 
 // PageLines reports the number of lines in a 4 KB OS page.
 func (g Geometry) PageLines() int { return 4096 / g.LineBytes }
 
 // GlobalRow returns the global row index of a physical line index.
-func (g Geometry) GlobalRow(physLine uint64) uint64 { return physLine >> g.slotBits }
+func (g *Geometry) GlobalRow(physLine uint64) uint64 { return physLine >> g.slotBits }
 
 // Slot returns the line-within-row slot of a physical line index.
-func (g Geometry) Slot(physLine uint64) int {
+func (g *Geometry) Slot(physLine uint64) int {
 	return int(physLine & (uint64(g.linesPerRow) - 1))
 }
 
@@ -190,7 +195,7 @@ func (g Geometry) Encode(loc Location) uint64 {
 
 // BankID returns a dense index in [0, BanksTotal()) identifying the bank of
 // a global row index.
-func (g Geometry) BankID(globalRow uint64) int {
+func (g *Geometry) BankID(globalRow uint64) int {
 	return int(globalRow & (uint64(g.BanksTotal()) - 1))
 }
 
@@ -200,7 +205,7 @@ func (g Geometry) RowInBank(globalRow uint64) int {
 }
 
 // ChannelOf returns the channel of a global row index.
-func (g Geometry) ChannelOf(globalRow uint64) int {
+func (g *Geometry) ChannelOf(globalRow uint64) int {
 	return int(globalRow & (uint64(g.Channels) - 1))
 }
 

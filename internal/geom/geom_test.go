@@ -1,6 +1,7 @@
 package geom
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -140,5 +141,18 @@ func TestBankIDDistinguishesBanks(t *testing.T) {
 	}
 	if len(seen) != g.BanksTotal() {
 		t.Fatalf("BankID covered %d of %d banks", len(seen), g.BanksTotal())
+	}
+}
+
+// TestGeometryFormatsAsString pins String's value receiver: with a pointer
+// receiver, fmt would print a Geometry value as a raw struct.
+func TestGeometryFormatsAsString(t *testing.T) {
+	g := DDR4_16GB()
+	const want = "16GB: 1ch x 1rank x 16bank x 131072rows, 8192B rows, 64B lines"
+	if got := fmt.Sprint(DDR4_16GB()); got != want {
+		t.Fatalf("fmt.Sprint(DDR4_16GB()) = %q, want %q", got, want)
+	}
+	if got := fmt.Sprintf("%s", g); got != want {
+		t.Fatalf(`fmt.Sprintf("%%s", g) = %q, want %q`, got, want)
 	}
 }

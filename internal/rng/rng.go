@@ -104,19 +104,39 @@ func (x *Xoshiro256) Float64() float64 {
 	return float64(x.Next()>>11) / (1 << 53)
 }
 
-// Geometric returns a sample from the geometric distribution with mean m
-// (number of trials until the first success, minimum 1). It is used for
-// miss inter-arrival gaps: a workload with MPKI k has mean gap 1000/k.
-func (x *Xoshiro256) Geometric(m float64) int {
+// Geometric samples the geometric distribution with a fixed mean m (number
+// of trials until the first success, minimum 1). It is used for miss
+// inter-arrival gaps — a workload with MPKI k has mean gap 1000/k — and for
+// burst lengths. The mean is fixed for the life of a core or workload, so
+// the Log1p(-1/m) divisor is computed once, in NewGeometric, not per draw.
+// The zero value always samples 1.
+type Geometric struct {
+	logq float64 // Log1p(-1/m)
+	draw bool    // m > 1; otherwise every sample is 1
+}
+
+// NewGeometric returns the sampler for mean m. A mean m <= 1 yields a
+// sampler that always returns 1 and draws nothing from the generator.
+func NewGeometric(m float64) Geometric {
 	if m <= 1 {
+		return Geometric{}
+	}
+	return Geometric{logq: math.Log1p(-(1 / m)), draw: true}
+}
+
+// Sample draws one value, consuming one Float64 from x unless the mean is
+// at most 1.
+//
+// hot: one call per simulated miss and per workload burst.
+func (g Geometric) Sample(x *Xoshiro256) int {
+	if !g.draw {
 		return 1
 	}
 	u := x.Float64()
 	if u <= 0 {
 		u = 1e-18
 	}
-	p := 1 / m
-	k := int(math.Ceil(math.Log(u) / math.Log1p(-p)))
+	k := int(math.Ceil(math.Log(u) / g.logq))
 	if k < 1 {
 		k = 1
 	}

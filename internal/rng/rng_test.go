@@ -98,13 +98,32 @@ func TestXoshiroFloat64Range(t *testing.T) {
 	}
 }
 
+// Geometric is the retired per-call sampler, kept as the oracle for
+// Geometric.Sample: it recomputes the Log1p(-1/m) divisor on every draw.
+func (x *Xoshiro256) Geometric(m float64) int {
+	if m <= 1 {
+		return 1
+	}
+	u := x.Float64()
+	if u <= 0 {
+		u = 1e-18
+	}
+	p := 1 / m
+	k := int(math.Ceil(math.Log(u) / math.Log1p(-p)))
+	if k < 1 {
+		k = 1
+	}
+	return k
+}
+
 func TestGeometricMean(t *testing.T) {
 	x := NewXoshiro256(17)
 	for _, mean := range []float64{2, 10, 100, 1000} {
+		g := NewGeometric(mean)
 		sum := 0
 		const draws = 200000
 		for i := 0; i < draws; i++ {
-			sum += x.Geometric(mean)
+			sum += g.Sample(x)
 		}
 		got := float64(sum) / draws
 		if got < 0.93*mean || got > 1.07*mean {
@@ -115,14 +134,31 @@ func TestGeometricMean(t *testing.T) {
 
 func TestGeometricMinimumOne(t *testing.T) {
 	x := NewXoshiro256(4)
+	g := NewGeometric(1.5)
 	for i := 0; i < 10000; i++ {
-		if x.Geometric(1.5) < 1 {
+		if g.Sample(x) < 1 {
 			t.Fatal("Geometric must return >= 1")
 		}
 	}
-	if x.Geometric(0.5) != 1 {
+	if NewGeometric(0.5).Sample(x) != 1 {
 		t.Fatal("mean <= 1 must return exactly 1")
 	}
+	var zero Geometric
+	if zero.Sample(x) != 1 {
+		t.Fatal("the zero Geometric must return exactly 1")
+	}
+}
+
+// BenchmarkGeometricSample draws mcf's miss gap (MPKI 5.81).
+func BenchmarkGeometricSample(b *testing.B) {
+	x := NewXoshiro256(1)
+	g := NewGeometric(1000 / 5.81)
+	b.ReportAllocs()
+	var sink int
+	for i := 0; i < b.N; i++ {
+		sink ^= g.Sample(x)
+	}
+	_ = sink
 }
 
 func TestZipfSkew(t *testing.T) {

@@ -185,8 +185,9 @@ type Spec struct {
 	stridePos uint64
 	strideOff uint64
 
-	burstLen  float64
-	hotBurst  float64
+	runLen    rng.Geometric // stream/random burst length, mean BurstLen
+	strideLen rng.Geometric // stride burst length, mean BurstLen/2
+	hotLen    rng.Geometric // hot-page burst length, mean HotBurst
 	burstLeft int
 	burstComp int    // component of the current burst
 	burstAddr uint64 // next line of the current burst (random/hot components)
@@ -211,17 +212,20 @@ func NewSpec(p SpecParams, base uint64, seed uint64) (*Spec, error) {
 		pageLn: PageLines,
 		rng:    r,
 	}
-	s.burstLen = p.BurstLen
-	if s.burstLen <= 0 {
-		s.burstLen = 8
+	burstLen := p.BurstLen
+	if burstLen <= 0 {
+		burstLen = 8
 	}
-	s.hotBurst = p.HotBurst
-	if s.hotBurst <= 0 {
-		s.hotBurst = s.burstLen / 4
+	hotBurst := p.HotBurst
+	if hotBurst <= 0 {
+		hotBurst = burstLen / 4
 	}
-	if s.hotBurst < 1 {
-		s.hotBurst = 1
+	if hotBurst < 1 {
+		hotBurst = 1
 	}
+	s.runLen = rng.NewGeometric(burstLen)
+	s.strideLen = rng.NewGeometric(burstLen / 2) // strided runs are shorter
+	s.hotLen = rng.NewGeometric(hotBurst)
 	if p.WStream+p.WStride+p.WRandom+p.WHot <= 0 {
 		s.p.WRandom = 1
 	}
@@ -229,10 +233,10 @@ func NewSpec(p SpecParams, base uint64, seed uint64) (*Spec, error) {
 	// BURST; divide each weight by its component's mean burst length so the
 	// resulting access distribution matches the configured shares.
 	w := [4]float64{
-		s.p.WStream / s.burstLen,
-		s.p.WStride / max(1, s.burstLen/2),
-		s.p.WRandom / s.burstLen,
-		s.p.WHot / s.hotBurst,
+		s.p.WStream / burstLen,
+		s.p.WStride / max(1, burstLen/2),
+		s.p.WRandom / burstLen,
+		s.p.WHot / hotBurst,
 	}
 	total := w[0] + w[1] + w[2] + w[3]
 	s.cw[0] = w[0] / total
@@ -309,13 +313,13 @@ func (s *Spec) Next() uint64 {
 // newBurst draws the next burst's component, length, and start address.
 func (s *Spec) newBurst() {
 	u := s.rng.Float64()
-	n := s.rng.Geometric(s.burstLen)
+	n := s.runLen.Sample(s.rng)
 	switch {
 	case u < s.cw[0]:
 		s.burstComp = 0
 	case u < s.cw[1]:
 		s.burstComp = 1
-		n = s.rng.Geometric(s.burstLen / 2) // strided runs are shorter
+		n = s.strideLen.Sample(s.rng)
 	case u < s.cw[2]:
 		s.burstComp = 2
 		start := s.rng.Uint64n(s.lines)
@@ -324,7 +328,7 @@ func (s *Spec) newBurst() {
 		s.burstWrap = s.base + s.lines
 	default:
 		s.burstComp = 3
-		n = s.rng.Geometric(s.hotBurst)
+		n = s.hotLen.Sample(s.rng)
 		page := s.hotOff[s.zipf.Next()]
 		pb := s.base + page*s.pageLn
 		s.burstAddr = pb + s.rng.Uint64n(s.pageLn)

@@ -1,6 +1,10 @@
 package workload
 
-import "testing"
+import (
+	"testing"
+
+	"rubix/internal/rng"
+)
 
 // must unwraps constructor results; tests treat construction failure as a
 // fatal setup bug.
@@ -235,13 +239,16 @@ func TestProfileGeneratorsImplementInterface(t *testing.T) {
 func TestHotBurstDefaults(t *testing.T) {
 	p := SpecParams{Name: "x", MPKI: 1, Pages: 10, WHot: 1, HotPages: 5, BurstLen: 16, MLP: 1}
 	g := must(NewSpec(p, 0, 1))
-	if g.hotBurst != 4 {
-		t.Fatalf("hot burst default = %v, want BurstLen/4", g.hotBurst)
+	if g.hotLen != rng.NewGeometric(4) {
+		t.Fatalf("hot burst sampler = %+v, want mean BurstLen/4", g.hotLen)
 	}
+	// BurstLen/4 = 0.5 floors to 1, in the sampler and in the hot weight:
+	// stream weight 1/2 and hot weight 1/1 give a stream share of 1/3.
 	p.BurstLen = 2
+	p.WStream = 1
 	g2 := must(NewSpec(p, 0, 1))
-	if g2.hotBurst != 1 {
-		t.Fatalf("hot burst floor = %v, want 1", g2.hotBurst)
+	if g2.hotLen != rng.NewGeometric(1) || g2.cw[0] != 0.5/1.5 {
+		t.Fatalf("hot burst floor: sampler %+v, stream share %v, want mean 1 and 1/3", g2.hotLen, g2.cw[0])
 	}
 }
 
@@ -283,5 +290,23 @@ func TestConstructorsRejectEmptyFootprints(t *testing.T) {
 	}
 	if _, err := NewAttack("x", nil, nil); err == nil {
 		t.Error("NewAttack accepted zero aggressors")
+	}
+}
+
+// BenchmarkSpecNext is the per-access cost of a SPEC stand-in: mcf draws
+// short bursts over a large hot set, cactuBSSN longer ones.
+func BenchmarkSpecNext(b *testing.B) {
+	for _, name := range []string{"mcf", "cactuBSSN"} {
+		b.Run(name, func(b *testing.B) {
+			p := must(SpecByName(name))
+			g := must(NewSpec(p, 0, 1))
+			b.ReportAllocs()
+			b.ResetTimer()
+			var sink uint64
+			for i := 0; i < b.N; i++ {
+				sink ^= g.Next()
+			}
+			_ = sink
+		})
 	}
 }
